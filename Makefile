@@ -22,21 +22,24 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-engine reruns the engine-heavy benchmarks (event loop, timer
-# churn, fuzz-campaign batch, table pipeline) and folds them into the
+# churn, fuzz campaigns sequential and across GOMAXPROCS workers, table
+# pipeline) and folds them into the
 # "after" side of BENCH_engine.json; the checked-in "before" side is the
 # pre-optimization baseline (pointer-heap engine, no reuse), so the
 # delta_pct section always reads against that fixed reference.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchmem ./internal/sim/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkRunnerRun' -benchmem ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkFuzzCampaignWorkers|BenchmarkRunnerRun' -benchmem ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkAllTables/parallel=4' -benchmem . | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 
 # bench-compare is the determinism smoke for the zero-allocation engine:
-# a short run of the engine benchmarks (they must still pass), then tables
+# a short run of the engine benchmarks and of the multi-worker fuzz
+# campaign (they must still pass, the campaign with no violation), then tables
 # and fuzz outputs re-generated at different parallelism levels and
 # compared byte for byte.
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchtime 10x -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaignWorkers' -benchtime 5x -benchmem ./internal/adversary/
 	$(GO) build -o /tmp/lintime-bench-compare ./cmd/lintime
 	/tmp/lintime-bench-compare tables -all -parallel 1 > /tmp/bench-compare-tables-p1.txt
 	/tmp/lintime-bench-compare tables -all -parallel 4 > /tmp/bench-compare-tables-p4.txt

@@ -137,6 +137,7 @@ func cmdServe(args []string) error {
 	shardX := fs.String("shard-x", "", "per-shard X overrides, comma-separated ticks (requires -shards entries)")
 	dryRun := fs.Bool("dry-run", false, "print the resolved serving configuration as JSON and exit")
 	traceN := fs.Int("trace", 0, "causal flight recorder: retain the last N complete operation trees per cluster and export trace_term_ticks attribution histograms on /metrics")
+	startProfile := profileFlags(fs)
 	startMetrics := metricsAddrFlag(fs)
 	startObsOut := obsOutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -192,7 +193,7 @@ func cmdServe(args []string) error {
 			banner: fmt.Sprintf("lintime serve: %s cluster (n=%d d=%v u=%v ε=%v X=%v)",
 				*typeName, p.N, p.D, p.U, p.Epsilon, p.X),
 			addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
-			flushObs: flushObs,
+			startProfile: startProfile, flushObs: flushObs,
 		})
 	}
 
@@ -216,7 +217,7 @@ func cmdServe(args []string) error {
 		banner: fmt.Sprintf("lintime serve: %d×%s shards (n=%d d=%v u=%v ε=%v base X=%v)",
 			*shards, *typeName, p.N, p.D, p.U, p.Epsilon, p.X),
 		addr: *addr, tick: *tick, drainTimeout: *drainTimeout, startMetrics: startMetrics,
-		flushObs: flushObs,
+		startProfile: startProfile, flushObs: flushObs,
 	})
 }
 
@@ -233,6 +234,9 @@ type serverRun struct {
 	tick         time.Duration
 	drainTimeout time.Duration
 	startMetrics func(http.Handler) (func(), error)
+	// startProfile begins the -cpuprofile/-memprofile capture, which
+	// covers serving from listen to the end of the drain.
+	startProfile func() (func() error, error)
 	// flushObs writes the final -obs-out snapshot; runs after the drain
 	// on both the SIGINT and the SIGTERM shutdown paths (nil = off).
 	flushObs func() error
@@ -248,6 +252,10 @@ func runServer(r serverRun) error {
 		return err
 	}
 	defer stopMetrics()
+	stopProfile, err := r.startProfile()
+	if err != nil {
+		return err
+	}
 	r.start()
 	fmt.Fprintf(os.Stderr, "%s on %s, tick %v\n", r.banner, ln.Addr(), r.tick)
 
@@ -270,6 +278,9 @@ func runServer(r serverRun) error {
 		if err := r.drain(r.drainTimeout); err != nil && serveErr == nil {
 			serveErr = err
 		}
+	}
+	if err := stopProfile(); err != nil && serveErr == nil {
+		serveErr = err
 	}
 	if err := writeJSON(r.stats()); err != nil && serveErr == nil {
 		serveErr = err
@@ -429,6 +440,7 @@ func cmdLoad(args []string) error {
 	checkObjects := fs.Bool("check-objects", false, "after an in-process sharded run, verify routing and per-object linearizability; exit nonzero on violation")
 	traceN := fs.Int("trace", 0, "causal flight recorder: retain the last N complete operation trees per cluster and export trace_term_ticks attribution histograms; on SLO violation the trees dump as Chrome trace JSON (-trace-out)")
 	traceOut := fs.String("trace-out", "lintime-trace-dump.json", "flight-recorder dump path for -trace (written on SLO violation)")
+	startProfile := profileFlags(fs)
 	startMetrics := metricsAddrFlag(fs)
 	startObsOut := obsOutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -525,6 +537,12 @@ func cmdLoad(args []string) error {
 		close(stopCh)
 	}()
 
+	// The profile covers the run itself: cluster start, load, drain and,
+	// with -check-objects, the per-object check.
+	stopProfile, err := startProfile()
+	if err != nil {
+		return err
+	}
 	flushObs := func() error { return nil }
 	// The causal flight recorder: one collector per in-process cluster
 	// (shard clusters number spans independently), merged at dump time.
@@ -688,6 +706,9 @@ func cmdLoad(args []string) error {
 		}
 		sum.Config.Mode = "inproc"
 		sum.Config.BatchTicks = s.Config().ResolvedBatchWindow()
+	}
+	if err := stopProfile(); err != nil {
+		return err
 	}
 
 	b, err := json.MarshalIndent(sum, "", "  ")

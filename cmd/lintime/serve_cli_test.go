@@ -2,8 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"lintime/internal/serve"
 	"lintime/internal/simtime"
@@ -151,4 +158,59 @@ func TestCmdLoadShardedErrors(t *testing.T) {
 	if err := cmdLoad([]string{"-sim", "-keys", "4", "-ops", "1"}); err == nil {
 		t.Error("-sim with -keys should error")
 	}
+}
+
+// requireNonEmpty fails the test unless path names a non-empty file.
+func requireNonEmpty(t *testing.T, path string) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Errorf("%s is empty", filepath.Base(path))
+	}
+}
+
+// TestCmdLoadProfiles checks that -cpuprofile and -memprofile on load
+// write both profiles.
+func TestCmdLoadProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	captureStdout(t, func() error {
+		return cmdLoad([]string{"-sim", "-ops", "2", "-seed", "3", "-cpuprofile", cpu, "-memprofile", mem})
+	})
+	requireNonEmpty(t, cpu)
+	requireNonEmpty(t, mem)
+}
+
+// TestRunServerProfiles checks that the serve loop writes both profiles
+// on its shutdown path, here taken because the listener fails.
+func TestRunServerProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	startProfile := profileFlags(fs)
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	listenErr := errors.New("listener failed")
+	captureStdout(t, func() error {
+		err := runServer(serverRun{
+			serve:        func(net.Listener) error { return listenErr },
+			drain:        func(time.Duration) error { return nil },
+			start:        func() {},
+			stats:        func() any { return struct{}{} },
+			banner:       "lintime serve: profile test",
+			addr:         "127.0.0.1:0",
+			startMetrics: func(http.Handler) (func(), error) { return func() {}, nil },
+			startProfile: startProfile,
+		})
+		if !errors.Is(err, listenErr) {
+			t.Errorf("runServer error = %v, want %v", err, listenErr)
+		}
+		return nil
+	})
+	requireNonEmpty(t, cpu)
+	requireNonEmpty(t, mem)
 }

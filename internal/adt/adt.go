@@ -12,6 +12,7 @@ package adt
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -68,6 +69,33 @@ func intArgs(n int) []spec.Value {
 		args[i] = i
 	}
 	return args
+}
+
+// intFingerprint renders the canonical fingerprint of a scalar state:
+// prefix followed by the value in decimal.
+func intFingerprint(prefix string, v int) string {
+	var scratch [32]byte
+	return string(strconv.AppendInt(append(scratch[:0], prefix...), int64(v), 10))
+}
+
+// intsFingerprint renders the canonical fingerprint of a sequence state:
+// prefix followed by the values in decimal, comma-separated. Short
+// states are assembled in a stack buffer, so the returned string is the
+// only allocation.
+func intsFingerprint(prefix string, xs []int) string {
+	var scratch [64]byte
+	buf := scratch[:0]
+	if n := len(prefix) + 4*len(xs); n > len(scratch) {
+		buf = make([]byte, 0, n)
+	}
+	buf = append(buf, prefix...)
+	for i, v := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
+	}
+	return string(buf)
 }
 
 // copyInts clones an int slice.

@@ -1,10 +1,6 @@
 package adt
 
-import (
-	"fmt"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Bank account operation names.
 const (
@@ -70,4 +66,4 @@ func (s bankState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s bankState) Fingerprint() string { return fmt.Sprintf("bank:%d", s.balance) }
+func (s bankState) Fingerprint() string { return intFingerprint("bank:", s.balance) }

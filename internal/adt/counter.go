@@ -1,10 +1,6 @@
 package adt
 
-import (
-	"fmt"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // Counter operation names.
 const (
@@ -62,4 +58,4 @@ func (s counterState) Apply(op string, arg spec.Value) (spec.Value, spec.State) 
 	}
 }
 
-func (s counterState) Fingerprint() string { return fmt.Sprintf("ctr:%d", s.value) }
+func (s counterState) Fingerprint() string { return intFingerprint("ctr:", s.value) }

@@ -3,7 +3,7 @@ package adt
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"lintime/internal/spec"
 )
@@ -158,14 +158,16 @@ func (s keyedState) Fingerprint() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("keyed{")
+	buf := make([]byte, 0, len("keyed{}")+24*len(keys))
+	buf = append(buf, "keyed{"...)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		fmt.Fprintf(&b, "%q=%s", k, s.objs[k].Fingerprint())
+		buf = strconv.AppendQuote(buf, k)
+		buf = append(buf, '=')
+		buf = append(buf, s.objs[k].Fingerprint()...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	buf = append(buf, '}')
+	return string(buf)
 }

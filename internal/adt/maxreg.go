@@ -1,10 +1,6 @@
 package adt
 
-import (
-	"fmt"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // MaxRegister operation names.
 const (
@@ -66,4 +62,4 @@ func (s maxRegState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s maxRegState) Fingerprint() string { return fmt.Sprintf("max:%d", s.value) }
+func (s maxRegState) Fingerprint() string { return intFingerprint("max:", s.value) }

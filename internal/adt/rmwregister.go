@@ -1,10 +1,6 @@
 package adt
 
-import (
-	"fmt"
-
-	"lintime/internal/spec"
-)
+import "lintime/internal/spec"
 
 // OpRMW is the read-modify-write operation name.
 const OpRMW = "rmw"
@@ -70,4 +66,4 @@ func (s rmwState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s rmwState) Fingerprint() string { return fmt.Sprintf("rmw:%d", s.value) }
+func (s rmwState) Fingerprint() string { return intFingerprint("rmw:", s.value) }

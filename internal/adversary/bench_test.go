@@ -1,9 +1,11 @@
 package adversary
 
 import (
+	"runtime"
 	"testing"
 
 	"lintime/internal/adt"
+	"lintime/internal/harness"
 	"lintime/internal/simtime"
 )
 
@@ -26,6 +28,32 @@ func BenchmarkFuzzCampaign(b *testing.B) {
 		}
 		if len(rep.Violations) != 0 {
 			b.Fatal("correct algorithm flagged")
+		}
+	}
+	b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "schedules/sec")
+}
+
+// BenchmarkFuzzCampaignWorkers measures the campaign shape `lintime fuzz`
+// users run: n=5 replicas of the core algorithm, one 128-schedule
+// campaign spread over GOMAXPROCS workers. Any violation fails the run.
+func BenchmarkFuzzCampaignWorkers(b *testing.B) {
+	p := simtime.DefaultParams(5)
+	dt, err := adt.Lookup("queue")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const budget = 128
+	opts := Options{
+		Params: p, DT: dt, Target: Target{Algorithm: harness.AlgCore},
+		Seed: 1, Budget: budget, Parallel: runtime.GOMAXPROCS(0),
+	}
+	for i := 0; i < b.N; i++ {
+		rep, err := Fuzz(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Violations) != 0 {
+			b.Fatalf("correct algorithm flagged: %s", rep.Violations[0].Kind)
 		}
 	}
 	b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "schedules/sec")

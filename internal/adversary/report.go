@@ -81,7 +81,7 @@ func WriteKillMatrix(w io.Writer, r *Runner, entries []KillEntry) error {
 		fmt.Fprintf(w, "\n--- %s minimal counterexample (%s) ---\n", e.Mutant, e.ShrunkKind)
 		fmt.Fprint(w, e.Shrunk.String())
 		target := Target{Algorithm: r.Target.Algorithm, Mutant: e.Mutant}
-		rr := &Runner{Params: r.Params, DT: r.DT, Target: target, CheckWorkers: r.CheckWorkers}
+		rr := &Runner{Params: r.Params, DT: r.DT, Target: target}
 		if err := writeDiagram(w, rr, *e.Shrunk); err != nil {
 			return err
 		}

@@ -364,8 +364,6 @@ type Runner struct {
 	Params simtime.Params
 	DT     spec.DataType
 	Target Target
-	// CheckWorkers is passed to lincheck.CheckTraceParallel (default 2).
-	CheckWorkers int
 	// Trace selects the engine's recording level (default sim.TraceFull).
 	// Throughput campaigns run at sim.TraceOps: signatures come from the
 	// engine's incremental step hash, so Steps is never read. Replays that
@@ -472,10 +470,6 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	if err := tr.CheckAdmissible(); err != nil {
 		return nil, fmt.Errorf("adversary: generated inadmissible run: %w", err)
 	}
-	workers := r.CheckWorkers
-	if workers == 0 {
-		workers = 2
-	}
 	// Continue the engine's incremental step hash over the message records,
 	// reproducing signatureFromTrace byte for byte without needing Steps.
 	sig := eng.StepSignature()
@@ -485,7 +479,8 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 	}
 	out := &Outcome{
 		Trace: tr,
-		Check: lincheck.CheckTraceParallel(r.DT, tr, workers),
+		// Sequential: campaigns and bmc already run one schedule per worker.
+		Check: lincheck.CheckTrace(r.DT, tr),
 		// Crash-aware completeness: an op pending at a crashed invoker is
 		// legitimate; at a live process it is a liveness violation. On
 		// fault-free runs this is exactly CheckComplete.

@@ -126,8 +126,6 @@ type Config struct {
 	StopEarly bool
 	// Parallel is the worker count (harness semantics: <1 = GOMAXPROCS).
 	Parallel int
-	// CheckWorkers is passed through to the linearizability checker.
-	CheckWorkers int
 }
 
 // Smoke returns the CI-sized configuration: n=2, three operations,
@@ -533,8 +531,7 @@ func Verify(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	runner := &adversary.Runner{
-		Params: cfg.Params, DT: cfg.DT, Target: cfg.Target,
-		CheckWorkers: cfg.CheckWorkers, Trace: sim.TraceOps,
+		Params: cfg.Params, DT: cfg.DT, Target: cfg.Target, Trace: sim.TraceOps,
 	}
 	rep := &Report{
 		Target:         cfg.Target.String(),

@@ -228,10 +228,9 @@ func runQuorumCert(cfg Config, m quorum.Mutant, cert quorumCert) (KillEntry, err
 	p := simtime.Params{N: cert.n, D: cfg.Params.D, U: cfg.Params.U}
 	c := Config{
 		Params: p, DT: cfg.DT,
-		Target:       adversary.Target{Algorithm: harness.AlgQuorum, Mutant: m.Name},
-		MaxOps:       cert.maxOps,
-		Drops:        cert.drops,
-		CheckWorkers: cfg.CheckWorkers,
+		Target: adversary.Target{Algorithm: harness.AlgQuorum, Mutant: m.Name},
+		MaxOps: cert.maxOps,
+		Drops:  cert.drops,
 	}
 	sp, err := NewSpace(c)
 	if err != nil {
@@ -242,8 +241,7 @@ func runQuorumCert(cfg Config, m quorum.Mutant, cert quorumCert) (KillEntry, err
 		return KillEntry{}, fmt.Errorf("bmc: certificate context for mutant %q is not in its enumerated space", m.Name)
 	}
 	runner := &adversary.Runner{
-		Params: p, DT: cfg.DT, Target: c.Target,
-		CheckWorkers: cfg.CheckWorkers, Trace: sim.TraceOps,
+		Params: p, DT: cfg.DT, Target: c.Target, Trace: sim.TraceOps,
 	}
 	base, msgs := sp.context(ctx)
 	e := KillEntry{Mutant: m.Name, Desc: m.Desc, Space: cert.space}

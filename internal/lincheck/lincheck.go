@@ -204,7 +204,7 @@ func (c *checker) search(state spec.State, completedLeft int) ([]spec.Instance, 
 			if c.taken[i] {
 				continue
 			}
-			op := c.ops[i]
+			op := &c.ops[i]
 			if op.Invoke > f.minRespond {
 				continue // some untaken op responded before this one was invoked
 			}
@@ -222,7 +222,7 @@ func (c *checker) search(state spec.State, completedLeft int) ([]spec.Instance, 
 				// Success: the stack path plus this op is a witness.
 				lin := make([]spec.Instance, 0, len(stack))
 				for _, fr := range stack[1:] {
-					o := c.ops[fr.via]
+					o := &c.ops[fr.via]
 					lin = append(lin, spec.Instance{Op: o.Name, Arg: o.Arg, Ret: fr.viaRet})
 				}
 				lin = append(lin, spec.Instance{Op: op.Name, Arg: op.Arg, Ret: ret})

@@ -1,6 +1,7 @@
 package lincheck
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,10 @@ func randomHistory(seed int64, n int) []Op {
 	return h
 }
 
+// TestCheckParallelMatchesCheck pins that both checkers return the same
+// verdict and the same witness: the lowest-index successful root branch.
+// The adversary Runner relies on this when it calls Check in place of
+// CheckParallel.
 func TestCheckParallelMatchesCheck(t *testing.T) {
 	dt := adt.NewQueue()
 	for seed := int64(0); seed < 8; seed++ {
@@ -40,6 +45,10 @@ func TestCheckParallelMatchesCheck(t *testing.T) {
 			if par.Linearizable != seq.Linearizable {
 				t.Errorf("seed %d workers %d: parallel %v != sequential %v",
 					seed, workers, par.Linearizable, seq.Linearizable)
+			}
+			if got, want := fmt.Sprint(par.Linearization), fmt.Sprint(seq.Linearization); got != want {
+				t.Errorf("seed %d workers %d: parallel witness %s != sequential %s",
+					seed, workers, got, want)
 			}
 		}
 	}
