@@ -82,13 +82,14 @@ stat-smoke:
 # trace-smoke is CI's causal-tracing gate: the deterministic `lintime
 # trace` goldens (the command itself fails unless every tree's terms sum
 # exactly to its measured latency), the attribution-identity property
-# tests and the serve/rtnet tracing integrations under the race
-# detector, then a live traced load run — flight recorder on — and a
+# tests, the serve/rtnet tracing integrations (the binary-codec shard
+# router included) and both substrates' span-lifecycle hook tests under
+# the race detector, then a live traced load run — flight recorder on — and a
 # quorum trace export to prove the Chrome JSON path end to end.
 trace-smoke:
 	$(GO) test -count=1 -run 'TestGoldenTrace|TestCmdTraceErrors' ./cmd/lintime/
 	$(GO) test -race -count=1 -run 'TestAttributionIdentityAllBackends|TestTracingDoesNotPerturbExecution' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestServerTracing|TestBatchResidencyTraced|TestCollector|TestRingWrapOrder|TestRingPartiallyEvictedSpan' ./internal/serve/ ./internal/rtnet/ ./internal/obs/
+	$(GO) test -race -count=1 -run 'TestServerTracing|TestBatchResidencyTraced|TestCollector|TestSpanLifecycle' ./internal/serve/ ./internal/rtnet/ ./internal/obs/ ./internal/sim/
 	$(GO) run ./cmd/lintime load -n 3 -clients 4 -duration 3s -trace 64 -seed 1 -require-slo
 	$(GO) run ./cmd/lintime trace -backend quorum -ops 3 -o /tmp/trace-smoke.json
 	@echo "trace-smoke: goldens, race-hardened tracing tests, and live traced load OK"

@@ -33,7 +33,7 @@ func benchTable(b *testing.B, number int) {
 	var mt *harness.MeasuredTable
 	var err error
 	for i := 0; i < b.N; i++ {
-		mt, err = harness.MeasureTable(number, p, 17)
+		mt, err = harness.MeasureTable(number, p, 17, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkTradeoff(b *testing.B) {
 	var pts []harness.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = harness.SweepX(p, "queue", 8, 29)
+		pts, err = harness.SweepX(p, "queue", 8, 29, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func BenchmarkAllTables(b *testing.B) {
 	for _, parallel := range benchWidths() {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tabs, err := harness.MeasureAllTablesParallel(p, 17, parallel)
+				tabs, err := harness.MeasureAllTables(p, 17, parallel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,7 +385,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, parallel := range benchWidths() {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.SweepXParallel(p, "queue", 8, 29, parallel); err != nil {
+				if _, err := harness.SweepX(p, "queue", 8, 29, parallel); err != nil {
 					b.Fatal(err)
 				}
 			}

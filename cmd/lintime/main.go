@@ -207,7 +207,7 @@ func cmdTables(args []string) error {
 	}
 	if *optimal {
 		for _, typeName := range []string{"rmwregister", "queue", "stack", "tree"} {
-			rows, err := harness.MeasureOptimalParallel(typeName, p, *seed, *parallel)
+			rows, err := harness.MeasureOptimal(typeName, p, *seed, *parallel)
 			if err != nil {
 				return err
 			}
@@ -216,7 +216,7 @@ func cmdTables(args []string) error {
 		return stopProfile()
 	}
 	if *all {
-		tables, err := harness.MeasureAllTablesParallel(p, *seed, *parallel)
+		tables, err := harness.MeasureAllTables(p, *seed, *parallel)
 		if err != nil {
 			return err
 		}
@@ -230,7 +230,7 @@ func cmdTables(args []string) error {
 			continue
 		}
 		if *measured {
-			mt, err := harness.MeasureTableParallel(no, p, *seed, *parallel)
+			mt, err := harness.MeasureTable(no, p, *seed, *parallel)
 			if err != nil {
 				return err
 			}
@@ -486,7 +486,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	pts, err := harness.SweepXParallel(p, *typeName, *points, *seed, *parallel)
+	pts, err := harness.SweepX(p, *typeName, *points, *seed, *parallel)
 	if err != nil {
 		return err
 	}

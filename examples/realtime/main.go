@@ -41,7 +41,7 @@ func main() {
 	defer cluster.Stop()
 
 	show := func(proc sim.ProcID, op string, arg any) {
-		r, err := cluster.Call(proc, op, arg)
+		r, err := cluster.Call(proc, op, arg, -1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -68,8 +68,8 @@ type Config struct {
 	// sim.TraceOps; the execution itself is identical at every level.
 	Trace sim.TraceLevel
 
-	// Tracer, when non-nil, receives span waypoints from the engine (an
-	// obs.Ring, or an obs.Collector for causal trees with latency
+	// Tracer, when non-nil, receives span waypoints from the engine
+	// (typically an obs.Collector, for causal trees with latency
 	// attribution). The execution is identical with or without it; nil
 	// (the default) keeps the engine's zero-cost tracing-off path.
 	Tracer obs.Tracer

@@ -88,19 +88,14 @@ var classRepresentatives = map[string]string{
 // MeasureTable regenerates one of the paper's Tables 1-5 with measured
 // worst-case latencies from a deterministic workload battery: Algorithm 1
 // and the centralized baseline run the same closed-loop workload on the
-// table's data type under the worst-case network (uniform delay d).
-// MeasureTable runs sequentially; MeasureTableParallel fans the runs out.
-func MeasureTable(number int, p simtime.Params, seed int64) (*MeasuredTable, error) {
-	return MeasureTableParallel(number, p, seed, 1)
-}
-
-// MeasureTableParallel is MeasureTable with the algorithm and baseline
-// runs fanned across at most parallel workers. The master seed is split
-// into independent sub-seeds for the workload stream and the
-// network/offset configuration stream (they must not alias — a coupled
-// stream correlates operation gaps with message delays), so the output is
-// deterministic and identical for every parallelism level.
-func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int) (*MeasuredTable, error) {
+// table's data type under the worst-case network (uniform delay d). The
+// two runs fan across at most parallel workers (1 runs them
+// sequentially). The master seed is split into independent sub-seeds for
+// the workload stream and the network/offset configuration stream (they
+// must not alias — a coupled stream correlates operation gaps with
+// message delays), so the output is deterministic and identical for
+// every parallelism level.
+func MeasureTable(number int, p simtime.Params, seed int64, parallel int) (*MeasuredTable, error) {
 	typeName, err := tableType(number)
 	if err != nil {
 		return nil, err
@@ -165,18 +160,13 @@ func MeasureTableParallel(number int, p simtime.Params, seed int64, parallel int
 	return out, nil
 }
 
-// MeasureAllTables regenerates Tables 1-5 sequentially.
-func MeasureAllTables(p simtime.Params, seed int64) ([]*MeasuredTable, error) {
-	return MeasureAllTablesParallel(p, seed, 1)
-}
-
-// MeasureAllTablesParallel regenerates Tables 1-5 with the per-table
-// simulator runs fanned across at most parallel workers. Output is
-// bit-identical to the sequential MeasureAllTables.
-func MeasureAllTablesParallel(p simtime.Params, seed int64, parallel int) ([]*MeasuredTable, error) {
+// MeasureAllTables regenerates Tables 1-5 with the per-table simulator
+// runs fanned across at most parallel workers. Output is bit-identical
+// at every parallelism level, sequential (1) included.
+func MeasureAllTables(p simtime.Params, seed int64, parallel int) ([]*MeasuredTable, error) {
 	out := make([]*MeasuredTable, 5)
 	err := runIndexed(5, Parallelism(parallel), func(i int) error {
-		t, err := MeasureTableParallel(i+1, p, seed, parallel)
+		t, err := MeasureTable(i+1, p, seed, parallel)
 		if err != nil {
 			return err
 		}
@@ -207,13 +197,8 @@ type OptimalRow struct {
 // optimal X: the whole workload battery runs once at X=0 (optimal for
 // pure mutators and mixed ops) and once at X=d-ε (optimal for pure
 // accessors), and each operation reports the run matching its class.
-func MeasureOptimal(typeName string, p simtime.Params, seed int64) ([]OptimalRow, error) {
-	return MeasureOptimalParallel(typeName, p, seed, 1)
-}
-
-// MeasureOptimalParallel is MeasureOptimal with the two workload runs
-// (X=0 and X=d-ε) fanned across workers.
-func MeasureOptimalParallel(typeName string, p simtime.Params, seed int64, parallel int) ([]OptimalRow, error) {
+// The two runs fan across at most parallel workers (1 is sequential).
+func MeasureOptimal(typeName string, p simtime.Params, seed int64, parallel int) ([]OptimalRow, error) {
 	dt, err := adt.Lookup(typeName)
 	if err != nil {
 		return nil, err
@@ -289,16 +274,12 @@ type SweepPoint struct {
 
 // SweepX measures the X tradeoff (§5.1.2): for points+1 values of
 // X across [0, d-ε], run the workload and record worst-case latencies per
-// operation class alongside the formulas d-X+ε, X+ε, d+ε.
-func SweepX(p simtime.Params, typeName string, points int, seed int64) ([]SweepPoint, error) {
-	return SweepXParallel(p, typeName, points, seed, 1)
-}
-
-// SweepXParallel is SweepX with the per-X simulator runs fanned across at
-// most parallel workers. Each sweep point draws its workload and config
-// streams from sub-seeds derived from (seed, point index), so the curve
-// is deterministic and identical at every parallelism level.
-func SweepXParallel(p simtime.Params, typeName string, points int, seed int64, parallel int) ([]SweepPoint, error) {
+// operation class alongside the formulas d-X+ε, X+ε, d+ε. The per-X
+// simulator runs fan across at most parallel workers (1 is sequential).
+// Each sweep point draws its workload and config streams from sub-seeds
+// derived from (seed, point index), so the curve is deterministic and
+// identical at every parallelism level.
+func SweepX(p simtime.Params, typeName string, points int, seed int64, parallel int) ([]SweepPoint, error) {
 	if points < 1 {
 		return nil, fmt.Errorf("harness: need at least 1 sweep interval")
 	}

@@ -123,16 +123,16 @@ func TestRunJobsPropagatesError(t *testing.T) {
 	}
 }
 
-// TestMeasureAllTablesParallelIdentical asserts the full table suite
+// TestMeasureAllTablesIdenticalAcrossParallelism asserts the full table suite
 // renders byte-identically at every parallelism level.
-func TestMeasureAllTablesParallelIdentical(t *testing.T) {
+func TestMeasureAllTablesIdenticalAcrossParallelism(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := MeasureAllTables(p, 21)
+	ref, err := MeasureAllTables(p, 21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{2, 4} {
-		got, err := MeasureAllTablesParallel(p, 21, parallel)
+		got, err := MeasureAllTables(p, 21, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,16 +145,16 @@ func TestMeasureAllTablesParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepXParallelIdentical asserts the sweep curve is identical at
+// TestSweepXIdenticalAcrossParallelism asserts the sweep curve is identical at
 // every parallelism level.
-func TestSweepXParallelIdentical(t *testing.T) {
+func TestSweepXIdenticalAcrossParallelism(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := SweepX(p, "queue", 4, 31)
+	ref, err := SweepX(p, "queue", 4, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{2, 8} {
-		got, err := SweepXParallel(p, "queue", 4, 31, parallel)
+		got, err := SweepX(p, "queue", 4, 31, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,15 +169,15 @@ func TestSweepXParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasureOptimalParallelIdentical asserts per-class optimal-X
+// TestMeasureOptimalIdenticalAcrossParallelism asserts per-class optimal-X
 // measurement is parallelism-independent.
-func TestMeasureOptimalParallelIdentical(t *testing.T) {
+func TestMeasureOptimalIdenticalAcrossParallelism(t *testing.T) {
 	p := simtime.DefaultParams(4)
-	ref, err := MeasureOptimal("queue", p, 51)
+	ref, err := MeasureOptimal("queue", p, 51, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureOptimalParallel("queue", p, 51, 4)
+	got, err := MeasureOptimal("queue", p, 51, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

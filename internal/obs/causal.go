@@ -1,7 +1,7 @@
 // Causal, cross-process tracing with deterministic latency attribution.
 //
-// The Collector grows the per-process span ring (Ring) into a tree
-// store: every operation is a root span, quorum phases open child spans
+// The Collector is the Tracer's recorder, a tree store: every operation
+// is a root span, quorum phases open child spans
 // under it, and message deliveries — batched or not — attach to whichever
 // span caused them, propagated through the substrates' handling context
 // and the wire protocols' trace-context field. A completed root
@@ -161,13 +161,14 @@ func sortEvents(evs []SpanEvent) {
 	})
 }
 
-// Collector is the causal tracing sink: a CausalTracer that assembles
-// complete operation trees and retains the last capacity of them in a
-// ring — the flight recorder. Safe for concurrent use.
+// Collector is the causal tracing sink: a Tracer that assembles complete
+// operation trees and retains the last capacity of them in a ring — the
+// flight recorder. Safe for concurrent use.
 type Collector struct {
 	mu      sync.Mutex
 	live    map[int64]*Tree // open spans (roots and children), by span id
-	order   []int64         // live-root start order, for bounded eviction
+	order   []int64         // root start order, for bounded eviction; may hold completed roots
+	open    int             // open roots
 	index   map[int64]*Tree // retained completed spans, for late events
 	done    []*Tree         // completed-root ring, record order
 	next    int
@@ -192,31 +193,46 @@ func NewCollector(capacity int) *Collector {
 	}
 }
 
-// OpStart implements Tracer.
-func (c *Collector) OpStart(proc int32, span int64, op string, now int64) {
-	c.OpStartCtx(proc, span, -1, op, now)
-}
-
-// OpStartCtx implements CausalTracer: opens a root span, recording the
-// causal parent (a client-side span propagated over the wire, or -1).
-func (c *Collector) OpStartCtx(proc int32, span, parent int64, op string, now int64) {
+// OpStart implements Tracer: opens a root span, recording the causal
+// parent (a client-side span propagated over the wire, or -1).
+func (c *Collector) OpStart(proc int32, span, parent int64, op string, now int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := &Tree{Span: span, Parent: parent, Op: op, Proc: proc, Start: now, End: -1, root: true}
 	t.Events = append(t.Events, SpanEvent{Span: span, Stage: StageInvoke, Proc: proc, Time: now, Op: op})
 	c.live[span] = t
 	c.order = append(c.order, span)
+	c.open++
 	c.cur[proc] = span
 	// Bound the open set: a span that never completes (crashed owner)
-	// must not pin memory forever.
-	for len(c.order) > len(c.done) {
+	// must not pin memory forever. Only open roots count against the
+	// bound; completed ones left in order are skipped. The length check
+	// keeps a collector misused across clusters (colliding span ids skew
+	// the count) from indexing an empty order.
+	for c.open > len(c.done) && len(c.order) > 0 {
 		victim := c.order[0]
 		c.order = c.order[1:]
-		if v, ok := c.live[victim]; ok && !v.done {
+		if v, ok := c.live[victim]; ok && v.root {
 			c.evictLive(v)
+			c.open--
 			c.dropped++
 		}
 	}
+	if len(c.order) >= 2*len(c.done) {
+		c.compactOrder()
+	}
+}
+
+// compactOrder drops completed roots from order, keeping it bounded by
+// twice the capacity however long the run.
+func (c *Collector) compactOrder() {
+	kept := c.order[:0]
+	for _, span := range c.order {
+		if t, ok := c.live[span]; ok && t.root {
+			kept = append(kept, span)
+		}
+	}
+	c.order = kept
 }
 
 // evictLive removes an open root and its children from the live set.
@@ -237,7 +253,7 @@ func (c *Collector) Event(span int64, stage Stage, proc int32, now int64) {
 	c.append(SpanEvent{Span: span, Stage: stage, Proc: proc, Time: now})
 }
 
-// Deliver implements CausalTracer.
+// Deliver implements Tracer.
 func (c *Collector) Deliver(span int64, proc int32, now, sent, residency int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,7 +271,7 @@ func (c *Collector) append(ev SpanEvent) {
 	t.Events = append(t.Events, ev)
 }
 
-// Child implements CausalTracer: opens a named child span under parent.
+// Child implements Tracer: opens a named child span under parent.
 // A child of an unknown parent is dropped.
 func (c *Collector) Child(proc int32, span, parent int64, name string, now int64) {
 	c.mu.Lock()
@@ -275,7 +291,7 @@ func (c *Collector) Child(proc int32, span, parent int64, name string, now int64
 	}
 }
 
-// ChildEnd implements CausalTracer. Closing a child of an
+// ChildEnd implements Tracer. Closing a child of an
 // already-completed root (a quorum phase whose last ack straggled in
 // after the coordinator responded) still lands on the retained tree.
 func (c *Collector) ChildEnd(proc int32, span int64, now int64) {
@@ -307,6 +323,7 @@ func (c *Collector) OpEnd(proc int32, span int64, now int64) {
 	t.Events = append(t.Events, SpanEvent{Span: span, Stage: StageRespond, Proc: proc, Time: now})
 	t.End = now
 	t.done = true
+	c.open--
 	// The tree stays indexed while retained, so deliveries landing on
 	// peers after the owner responded (a mutator's broadcast outliving
 	// its X-wait) still attach to the completed tree.

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// finish runs one complete root span through c: invoke at start,
+// finish runs one complete local root span through c: invoke at start,
 // respond at end.
 func finish(c *Collector, proc int32, span int64, op string, start, end int64) {
-	c.OpStart(proc, span, op, start)
+	c.OpStart(proc, span, -1, op, start)
 	c.OpEnd(proc, span, end)
 }
 
@@ -44,7 +44,7 @@ func TestCollectorLifecycle(t *testing.T) {
 	if got := c.CurrentSpan(0); got != -1 {
 		t.Fatalf("CurrentSpan before any op = %d, want -1", got)
 	}
-	c.OpStartCtx(0, 1, 77, "enqueue", 10)
+	c.OpStart(0, 1, 77, "enqueue", 10)
 	if got := c.CurrentSpan(0); got != 1 {
 		t.Fatalf("CurrentSpan mid-op = %d, want 1", got)
 	}
@@ -91,11 +91,13 @@ func TestCollectorLifecycle(t *testing.T) {
 	}
 }
 
+// A local root — OpStart with parent -1 — records no parent edge.
 func TestCollectorFlatOpStartHasNoParent(t *testing.T) {
 	c := NewCollector(2)
-	finish(c, 0, 5, "peek", 0, 3)
+	c.OpStart(0, 5, -1, "peek", 0)
+	c.OpEnd(0, 5, 3)
 	if trees := c.Trees(); trees[0].Parent != -1 {
-		t.Errorf("flat OpStart parent = %d, want -1", trees[0].Parent)
+		t.Errorf("local-root OpStart parent = %d, want -1", trees[0].Parent)
 	}
 }
 
@@ -144,7 +146,7 @@ func TestCollectorRingWrap(t *testing.T) {
 // the index, or a long run leaks one entry per phase span.
 func TestCollectorRingWrapEvictsChildren(t *testing.T) {
 	c := NewCollector(1)
-	c.OpStart(0, 1, "read", 0)
+	c.OpStart(0, 1, -1, "read", 0)
 	c.Child(0, -1000, 1, "query", 1)
 	c.ChildEnd(0, -1000, 2)
 	c.OpEnd(0, 1, 3)
@@ -163,10 +165,10 @@ func TestCollectorRingWrapEvictsChildren(t *testing.T) {
 // children) so a crashed owner cannot pin memory forever.
 func TestCollectorLiveBound(t *testing.T) {
 	c := NewCollector(2)
-	c.OpStart(0, 1, "a", 0)
+	c.OpStart(0, 1, -1, "a", 0)
 	c.Child(0, -10, 1, "query", 1)
-	c.OpStart(1, 2, "b", 2)
-	c.OpStart(2, 3, "c", 4) // evicts span 1 and its child
+	c.OpStart(1, 2, -1, "b", 2)
+	c.OpStart(2, 3, -1, "c", 4) // evicts span 1 and its child
 	if got := c.Dropped(); got != 1 {
 		t.Errorf("Dropped() = %d, want 1", got)
 	}
@@ -183,13 +185,64 @@ func TestCollectorLiveBound(t *testing.T) {
 	}
 }
 
+// TestCollectorLiveBoundCountsOpenRootsOnly pins that the live bound
+// counts open roots, not started ones: a root that stays open while
+// capacity others start and finish is kept, because at most two roots
+// were ever open at once.
+func TestCollectorLiveBoundCountsOpenRootsOnly(t *testing.T) {
+	c := NewCollector(2)
+	finish(c, 0, 1, "a", 0, 1)
+	c.OpStart(1, 2, -1, "b", 2) // stays open across the next two roots
+	finish(c, 0, 3, "c", 3, 4)
+	finish(c, 0, 4, "d", 5, 6)
+	c.OpEnd(1, 2, 7)
+	if got := c.Dropped(); got != 2 {
+		// The ring holds 2 trees: spans 1 and 3 are overwritten by 4 and 2.
+		t.Errorf("Dropped() = %d, want 2 (ring overwrites only)", got)
+	}
+	trees := c.Trees()
+	if len(trees) != 2 || trees[0].Span != 4 || trees[1].Span != 2 {
+		t.Fatalf("retained spans = %v, want [4 2]", spans(trees))
+	}
+	if trees[1].Start != 2 || trees[1].End != 7 {
+		t.Errorf("span 2 window = [%d, %d], want [2, 7]", trees[1].Start, trees[1].End)
+	}
+}
+
+// TestCollectorOrderStaysBounded runs many short roots past one
+// long-lived open root: the start-order queue must stay within twice
+// the capacity, and the long-lived root must survive.
+func TestCollectorOrderStaysBounded(t *testing.T) {
+	c := NewCollector(4)
+	c.OpStart(9, 1000, -1, "long", 0)
+	for i := int64(0); i < 100; i++ {
+		finish(c, 0, i, "short", i, i)
+		if len(c.order) > 2*len(c.done) {
+			t.Fatalf("after %d roots order holds %d spans, capacity %d", i+1, len(c.order), len(c.done))
+		}
+	}
+	c.OpEnd(9, 1000, 200)
+	trees := c.Trees()
+	if last := trees[len(trees)-1]; last.Span != 1000 {
+		t.Errorf("newest retained span = %d, want the long-lived 1000", last.Span)
+	}
+}
+
+func spans(trees []*Tree) []int64 {
+	out := make([]int64, len(trees))
+	for i, t := range trees {
+		out[i] = t.Span
+	}
+	return out
+}
+
 // Late peer events and straggler phase completions must land on the
 // retained completed tree, not vanish: a mutator's broadcast outlives
 // its X-wait, and a quorum phase's last ack can arrive after the
 // coordinator responded.
 func TestCollectorLateEventsAfterComplete(t *testing.T) {
 	c := NewCollector(4)
-	c.OpStart(0, 1, "write", 0)
+	c.OpStart(0, 1, -1, "write", 0)
 	c.Child(0, -1, 1, "write_back", 2)
 	c.OpEnd(0, 1, 5)
 	// All of these arrive after the root completed.
@@ -234,7 +287,7 @@ func TestCollectorUnknownSpansDropped(t *testing.T) {
 func attributionCase(t *testing.T, class string, p AttrParams, want Attribution) {
 	t.Helper()
 	c := NewCollector(4)
-	c.OpStartCtx(0, 1, -1, "op", 2)  // queue: submit 0 → handled 2
+	c.OpStart(0, 1, -1, "op", 2)     // queue: submit 0 → handled 2
 	c.Event(1, StageBroadcast, 0, 3) // exec 1
 	c.Deliver(1, 0, 10, 3, 2)        // dt 7: residency 2, flight 5
 	c.Deliver(1, 1, 12, 3, 0)        // peer-side: not on owner timeline
@@ -275,7 +328,7 @@ func TestAttributeNoTimerMeansNoDeliberateWait(t *testing.T) {
 	// Quorum-style op: no stabilization timer ever fires, so nothing is
 	// attributed to the deliberate-wait terms even for a mutator class.
 	c := NewCollector(2)
-	c.OpStart(0, 1, "write", 0)
+	c.OpStart(0, 1, -1, "write", 0)
 	c.Deliver(1, 0, 5, 0, 0)
 	c.OpEnd(0, 1, 8)
 	a, ok := c.Attribute(1, "MOP", 0, AttrParams{D: 4, X: 3})
@@ -290,7 +343,7 @@ func TestAttributeNoTimerMeansNoDeliberateWait(t *testing.T) {
 
 func TestAttributeResidencyClamps(t *testing.T) {
 	c := NewCollector(2)
-	c.OpStart(0, 1, "op", 0)
+	c.OpStart(0, 1, -1, "op", 0)
 	c.Deliver(1, 0, 3, 0, 10) // residency exceeds the interval: clamp to dt
 	c.Deliver(1, 0, 5, 3, -4) // negative residency: clamp to 0
 	c.OpEnd(0, 1, 5)
@@ -309,7 +362,7 @@ func TestAttributeRefusals(t *testing.T) {
 	if _, ok := c.Attribute(1, "MOP", 0, AttrParams{}); ok {
 		t.Error("unknown span attributed")
 	}
-	c.OpStart(0, 1, "op", 0)
+	c.OpStart(0, 1, -1, "op", 0)
 	if _, ok := c.Attribute(1, "MOP", 0, AttrParams{}); ok {
 		t.Error("open span attributed")
 	}
@@ -329,7 +382,7 @@ func TestAttributeRefusals(t *testing.T) {
 // order would break golden exports.
 func TestTreesClonesCanonical(t *testing.T) {
 	c := NewCollector(2)
-	c.OpStart(1, 1, "op", 0)
+	c.OpStart(1, 1, -1, "op", 0)
 	// Same tick on two processes: canonical order sorts by proc.
 	c.Deliver(1, 2, 4, 0, 0)
 	c.Deliver(1, 0, 4, 0, 0)
@@ -353,7 +406,7 @@ func TestTreesClonesCanonical(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	c := NewCollector(4)
-	c.OpStartCtx(0, 1, 42, "enqueue", 10)
+	c.OpStart(0, 1, 42, "enqueue", 10)
 	c.Event(1, StageBroadcast, 0, 11)
 	c.Deliver(1, 1, 15, 11, 3)
 	c.Deliver(1, 2, 14, 0, 0) // sent 0: no delivery args

@@ -9,71 +9,6 @@ import (
 	"time"
 )
 
-// TestRingWrapOrder pins the wrap-order contract Events documents: after
-// the ring wraps, the returned slice is record order — oldest retained
-// first — never the raw backing-array order, which would splice the
-// newest events in front of the oldest across the wrap boundary.
-func TestRingWrapOrder(t *testing.T) {
-	r := NewRing(4)
-	for i := int64(0); i < 6; i++ {
-		r.Event(i, StageBroadcast, 0, i)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := int64(i + 2); ev.Time != want {
-			t.Fatalf("Events()[%d].Time = %d, want %d (record order): %+v",
-				i, ev.Time, want, evs)
-		}
-	}
-	if got := r.Dropped(); got != 2 {
-		t.Errorf("Dropped() = %d, want 2", got)
-	}
-}
-
-// A span whose head was overwritten by the wrap must report
-// complete=false (its invoke is gone), and one whose respond has not
-// landed yet must too — only an intact invoke…respond lifecycle is
-// complete.
-func TestRingPartiallyEvictedSpan(t *testing.T) {
-	r := NewRing(4)
-	r.OpStart(0, 1, "enqueue", 0)
-	r.Event(1, StageBroadcast, 0, 1)
-	r.Event(1, StageDeliver, 0, 2)
-	r.OpEnd(0, 1, 3)
-	if evs, complete := r.SpanEvents(1); !complete || len(evs) != 4 {
-		t.Fatalf("intact span: complete=%v len=%d, want true 4", complete, len(evs))
-	}
-	r.OpStart(1, 2, "peek", 4) // overwrites span 1's invoke
-	evs, complete := r.SpanEvents(1)
-	if complete {
-		t.Error("head-evicted span reported complete")
-	}
-	if len(evs) != 3 || evs[0].Stage != StageBroadcast {
-		t.Errorf("head-evicted span events = %+v, want broadcast-first triple", evs)
-	}
-	if got := r.Span(1); len(got) != 3 {
-		t.Errorf("Span(1) len = %d, want 3", len(got))
-	}
-	if _, complete := r.SpanEvents(2); complete {
-		t.Error("open span (no respond yet) reported complete")
-	}
-	if evs, complete := r.SpanEvents(99); complete || evs != nil {
-		t.Errorf("unknown span = (%v, %v), want (nil, false)", evs, complete)
-	}
-}
-
-func TestNopTracer(t *testing.T) {
-	Nop.OpStart(0, 1, "x", 0)
-	Nop.Event(1, StageBroadcast, 0, 1)
-	Nop.OpEnd(0, 1, 2)
-	if got := Nop.CurrentSpan(0); got != -1 {
-		t.Errorf("Nop.CurrentSpan = %d, want -1", got)
-	}
-}
-
 func TestStageMarshalJSON(t *testing.T) {
 	b, err := json.Marshal(SpanEvent{Span: 1, Stage: StageDeliver, Proc: 2, Time: 3})
 	if err != nil {

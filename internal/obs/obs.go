@@ -8,7 +8,7 @@
 // Everything here is stdlib-only and built for hot paths: recording a
 // sample is a handful of atomic operations, instruments are plain struct
 // pointers the instrumented code captures once (never a map lookup per
-// event), and the span tracer has a Nop implementation so untraced runs
+// event), and a nil span tracer means tracing is off, so untraced runs
 // pay a single predictable branch. The paper's whole contribution is
 // latency accounting — |AOP| = d−X+ε, |MOP| = X+ε, |OOP| = d+ε — and this
 // package is what lets a live cluster be held to those formulas while it

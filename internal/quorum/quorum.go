@@ -142,19 +142,13 @@ type retransmitTag struct{ seq int64 }
 // substrate-neutral and other backends tracer-oblivious.
 type traceSource interface{ Tracer() obs.Tracer }
 
-// tracerFor returns the causal tracer reachable through ctx, or nil when
-// tracing is off or the tracer records flat spans only.
-func tracerFor(ctx sim.Context) obs.CausalTracer {
-	ts, ok := ctx.(traceSource)
-	if !ok {
-		return nil
+// tracerFor returns the tracer reachable through ctx, or nil when
+// tracing is off.
+func tracerFor(ctx sim.Context) obs.Tracer {
+	if ts, ok := ctx.(traceSource); ok {
+		return ts.Tracer()
 	}
-	t := ts.Tracer()
-	if obs.IsNop(t) {
-		return nil
-	}
-	ct, _ := t.(obs.CausalTracer)
-	return ct
+	return nil
 }
 
 // phaseSpan derives the deterministic child-span id of one phase of one

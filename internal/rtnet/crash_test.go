@@ -54,10 +54,10 @@ func TestCrashQuorumMajorityKeepsServing(t *testing.T) {
 	if got := m.Crashes.Value(); got != 1 {
 		t.Errorf("crashes_injected = %d, want 1", got)
 	}
-	if _, err := c.Call(2, quorum.OpRead, nil); !errors.Is(err, ErrCrashed) {
+	if _, err := c.Call(2, quorum.OpRead, nil, -1); !errors.Is(err, ErrCrashed) {
 		t.Errorf("Call at crashed process returned %v, want ErrCrashed", err)
 	}
-	if _, err := c.Invoke(2, quorum.OpRead, nil); !errors.Is(err, ErrCrashed) {
+	if _, err := c.Invoke(2, quorum.OpRead, nil, -1); !errors.Is(err, ErrCrashed) {
 		t.Errorf("Invoke at crashed process returned %v, want ErrCrashed", err)
 	}
 	// The two survivors are a majority: both phases still reach quorum.
@@ -87,11 +87,11 @@ func TestCrashQuorumMajorityKeepsServing(t *testing.T) {
 // delivery in metrics and trace.
 func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 	reg := obs.NewRegistry()
-	ring := obs.NewRing(4096)
+	coll := obs.NewCollector(64)
 	c := newQuorumCluster(t, 3, 2)
 	m := NewMetrics(reg, c.Params())
 	c.SetMetrics(m)
-	c.SetTracer(ring)
+	c.SetTracer(coll)
 	c.Start()
 	defer c.Stop()
 
@@ -99,7 +99,7 @@ func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 	// Each write broadcasts two phases to both peers: 16 writes push 32
 	// deliveries through p2's depth-2 inbox.
 	for i := 0; i < 16; i++ {
-		if _, err := c.Call(0, quorum.OpWrite, i); err != nil {
+		if _, err := c.Call(0, quorum.OpWrite, i, -1); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -116,11 +116,13 @@ func TestCrashedInboxDrainsWithoutOverflow(t *testing.T) {
 		t.Errorf("post-crash drops = %d, want >= 32", got)
 	}
 	dropped := 0
-	for _, ev := range ring.Events() {
-		if ev.Stage == obs.StageDropped {
-			dropped++
-			if ev.Proc != 2 {
-				t.Errorf("dropped delivery attributed to p%d, want p2", ev.Proc)
+	for _, tree := range coll.Trees() {
+		for _, ev := range tree.Events {
+			if ev.Stage == obs.StageDropped {
+				dropped++
+				if ev.Proc != 2 {
+					t.Errorf("dropped delivery attributed to p%d, want p2", ev.Proc)
+				}
 			}
 		}
 	}
@@ -203,7 +205,7 @@ func TestCrashFailsPendingCall(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Call(1, "stuck", nil)
+		_, err := c.Call(1, "stuck", nil, -1)
 		errc <- err
 	}()
 	for c.Pending() == 0 {

@@ -86,7 +86,7 @@ func TestLatencyWithinJitterBudget(t *testing.T) {
 				{adt.OpDequeue, nil, classify.Mixed},
 			}
 			for i, step := range steps {
-				r, err := c.Call(sim.ProcID(i%n), step.op, step.arg)
+				r, err := c.Call(sim.ProcID(i%n), step.op, step.arg, -1)
 				if err != nil {
 					t.Fatalf("%s: %v", step.op, err)
 				}

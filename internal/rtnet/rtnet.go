@@ -156,15 +156,13 @@ type Cluster struct {
 	metrics *Metrics
 	tracer  obs.Tracer
 	tracing bool
-	// causal is tracer's CausalTracer extension when present. handling[p]
-	// is the span of the event p's loop is dispatching right now (-1
-	// outside a handler); it is confined to p's loop goroutine (written
-	// around handler calls, read by Send/SetTimer, which only run inside
-	// handlers or before Start), so no lock is needed. While a handler for
+	// handling[p] is the span of the event p's loop is dispatching right
+	// now (-1 outside a handler); it is confined to p's loop goroutine
+	// (written around handler calls, read by Send/SetTimer, which only
+	// run inside handlers or before Start), so no lock is needed. While a handler for
 	// span S runs, sends and timer registrations inherit S — attributing a
 	// quorum replica's ack to the coordinator's operation instead of the
 	// replica's own pending span.
-	causal   obs.CausalTracer
 	handling []int64
 
 	// batchers[from][to] coalesces from→to messages when batchWindow > 0;
@@ -261,15 +259,11 @@ func NewMetrics(reg *obs.Registry, p simtime.Params, labels ...string) *Metrics 
 // Start.
 func (c *Cluster) SetMetrics(m *Metrics) { c.metrics = m }
 
-// SetTracer installs a span tracer (obs.Nop or nil disables tracing).
-// Must be called before Start.
+// SetTracer installs a span tracer (nil disables tracing). Must be
+// called before Start.
 func (c *Cluster) SetTracer(t obs.Tracer) {
 	c.tracer = t
-	c.tracing = !obs.IsNop(t)
-	c.causal = nil
-	if c.tracing {
-		c.causal, _ = t.(obs.CausalTracer)
-	}
+	c.tracing = t != nil
 }
 
 // spanFor resolves the span a send or timer registration belongs to: the
@@ -502,11 +496,7 @@ func (c *Cluster) loop(proc sim.ProcID) {
 			case 0:
 				if c.tracing {
 					c.handling[proc] = ev.inv.SeqID
-					if c.causal != nil {
-						c.causal.OpStartCtx(int32(proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(c.now()))
-					} else {
-						c.tracer.OpStart(int32(proc), ev.inv.SeqID, ev.inv.Op, int64(c.now()))
-					}
+					c.tracer.OpStart(int32(proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(c.now()))
 				}
 				c.nodes[proc].OnInvoke(ctx, ev.inv)
 			case 1:
@@ -516,11 +506,7 @@ func (c *Cluster) loop(proc sim.ProcID) {
 				}
 				if c.tracing {
 					c.handling[proc] = ev.span
-					if c.causal != nil {
-						c.causal.Deliver(ev.span, int32(proc), int64(c.now()), int64(ev.sent), 0)
-					} else {
-						c.tracer.Event(ev.span, obs.StageDeliver, int32(proc), int64(c.now()))
-					}
+					c.tracer.Deliver(ev.span, int32(proc), int64(c.now()), int64(ev.sent), 0)
 				}
 				c.nodes[proc].OnMessage(ctx, ev.from, ev.payload)
 			case 2:
@@ -547,7 +533,7 @@ func (c *Cluster) loop(proc sim.ProcID) {
 				// is its last joiner's — earlier members spent (maxSent −
 				// sent_i) ticks parked in the window, not in flight.
 				var maxSent simtime.Time
-				if c.causal != nil {
+				if c.tracing {
 					for _, s := range ev.batchSents {
 						if s > maxSent {
 							maxSent = s
@@ -561,12 +547,8 @@ func (c *Cluster) loop(proc sim.ProcID) {
 					}
 					if c.tracing {
 						c.handling[proc] = ev.batchSpans[i]
-						if c.causal != nil {
-							c.causal.Deliver(ev.batchSpans[i], int32(proc), int64(now),
-								int64(ev.batchSents[i]), int64(maxSent.Sub(ev.batchSents[i])))
-						} else {
-							c.tracer.Event(ev.batchSpans[i], obs.StageDeliver, int32(proc), int64(now))
-						}
+						c.tracer.Deliver(ev.batchSpans[i], int32(proc), int64(now),
+							int64(ev.batchSents[i]), int64(maxSent.Sub(ev.batchSents[i])))
 					}
 					c.nodes[proc].OnMessage(ctx, ev.from, payload)
 				}
@@ -704,17 +686,12 @@ func (c *Cluster) now() simtime.Time {
 
 // Invoke submits an operation at a process and returns a channel carrying
 // its response. The caller must respect the one-pending-op-per-process
-// rule of the model. A non-nil error means the invocation was not
-// submitted: the cluster has stopped (ErrStopped) or failed.
-func (c *Cluster) Invoke(proc sim.ProcID, op string, arg any) (<-chan Response, error) {
-	return c.InvokeTraced(proc, op, arg, -1)
-}
-
-// InvokeTraced is Invoke carrying a causal parent span: the client-side
+// rule of the model. parent is the causal parent span — the client-side
 // span (propagated over the wire protocols) the new operation's root
-// span should point back to. Ignored unless the installed tracer is an
-// obs.CausalTracer; pass -1 for a local root.
-func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64) (<-chan Response, error) {
+// span points back to — or -1 for a local root; it only matters while a
+// tracer is installed. A non-nil error means the invocation was not
+// submitted: the cluster has stopped (ErrStopped) or failed.
+func (c *Cluster) Invoke(proc sim.ProcID, op string, arg any, parent int64) (<-chan Response, error) {
 	done := make(chan Response, 1)
 	c.mu.Lock()
 	// Checked under mu so a concurrent Crash either sees this entry in
@@ -741,16 +718,11 @@ func (c *Cluster) InvokeTraced(proc sim.ProcID, op string, arg any, parent int64
 	return done, nil
 }
 
-// Call invokes and waits for the response. It returns the cluster's
-// recorded failure (or ErrStopped) if the cluster stops before the
-// response arrives.
-func (c *Cluster) Call(proc sim.ProcID, op string, arg any) (Response, error) {
-	return c.CallTraced(proc, op, arg, -1)
-}
-
-// CallTraced is Call carrying a causal parent span (see InvokeTraced).
-func (c *Cluster) CallTraced(proc sim.ProcID, op string, arg any, parent int64) (Response, error) {
-	ch, err := c.InvokeTraced(proc, op, arg, parent)
+// Call invokes (see Invoke for parent) and waits for the response. It
+// returns the cluster's recorded failure (or ErrStopped) if the cluster
+// stops before the response arrives.
+func (c *Cluster) Call(proc sim.ProcID, op string, arg any, parent int64) (Response, error) {
+	ch, err := c.Invoke(proc, op, arg, parent)
 	if err != nil {
 		return Response{}, err
 	}
@@ -993,14 +965,9 @@ func (x *rtCtx) Broadcast(payload any) {
 	}
 }
 
-// Tracer exposes the cluster's installed tracer (obs.Nop when tracing is
+// Tracer exposes the cluster's installed tracer (nil when tracing is
 // off), for algorithms that record protocol-phase child spans.
-func (x *rtCtx) Tracer() obs.Tracer {
-	if x.c.tracer == nil {
-		return obs.Nop
-	}
-	return x.c.tracer
-}
+func (x *rtCtx) Tracer() obs.Tracer { return x.c.tracer }
 
 func (x *rtCtx) Respond(seqID int64, ret any) {
 	x.c.mu.Lock()

@@ -26,7 +26,7 @@ const tick = time.Millisecond
 // mustCall invokes and waits, failing the test on a cluster error.
 func mustCall(t *testing.T, c *Cluster, proc sim.ProcID, op string, arg any) Response {
 	t.Helper()
-	r, err := c.Call(proc, op, arg)
+	r, err := c.Call(proc, op, arg, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRealTimeConcurrentHistoryLinearizable(t *testing.T) {
 		proc, script := sim.ProcID(proc), script
 		go func() {
 			for _, s := range script {
-				resp, err := c.Call(proc, s.op, s.arg)
+				resp, err := c.Call(proc, s.op, s.arg, -1)
 				if err != nil {
 					t.Error(err)
 					break
@@ -253,10 +253,10 @@ func TestInboxOverflowTypedError(t *testing.T) {
 	if got := c.InboxDepth(); got != 1 {
 		t.Fatalf("InboxDepth() = %d, want 1", got)
 	}
-	if _, err := c.Invoke(0, adt.OpEnqueue, 1); err != nil {
+	if _, err := c.Invoke(0, adt.OpEnqueue, 1, -1); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
-	_, err = c.Invoke(0, adt.OpEnqueue, 2)
+	_, err = c.Invoke(0, adt.OpEnqueue, 2, -1)
 	var overflow *InboxOverflowError
 	if !errors.As(err, &overflow) {
 		t.Fatalf("second invoke returned %v, want *InboxOverflowError", err)
@@ -268,7 +268,7 @@ func TestInboxOverflowTypedError(t *testing.T) {
 		t.Errorf("Err() = %v, want the recorded overflow", c.Err())
 	}
 	// The failure is sticky: later calls fail fast, and Drain surfaces it.
-	if _, err := c.Call(1, adt.OpPeek, nil); err == nil {
+	if _, err := c.Call(1, adt.OpPeek, nil, -1); err == nil {
 		t.Error("Call succeeded on a failed cluster")
 	}
 	if err := c.Drain(time.Second); !errors.As(err, &overflow) {

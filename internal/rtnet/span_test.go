@@ -13,22 +13,27 @@ import (
 )
 
 // TestSpanLifecycleRealTime drives one mutator through a live cluster
-// with a ring tracer attached and checks the full lifecycle lands in
-// record order: the invoke opens the span, the replica broadcast fans
+// with a collector attached and checks the full lifecycle lands in
+// time order: the invoke opens the span, the replica broadcast fans
 // out, peers record deliveries, the stabilization timer fires, and the
 // response closes the span — the real-time half of the sim span test.
 func TestSpanLifecycleRealTime(t *testing.T) {
 	p := rtParams(3)
-	ring := obs.NewRing(1024)
+	coll := obs.NewCollector(64)
 	c, _ := newQueueCluster(t, 3)
-	c.SetTracer(ring)
+	c.SetTracer(coll)
 	c.Start()
 	defer c.Stop()
 
 	r := mustCall(t, c, 0, adt.OpEnqueue, 7)
 	time.Sleep(5 * time.Duration(p.D) * tick) // let replication settle
 
-	evs := ring.Span(r.Seq)
+	var evs []obs.SpanEvent
+	for _, tree := range coll.Trees() {
+		if tree.Span == r.Seq {
+			evs = tree.Events
+		}
+	}
 	if len(evs) < 4 {
 		t.Fatalf("span %d: got %d events %+v, want at least invoke/broadcast/deliver/respond", r.Seq, len(evs), evs)
 	}
@@ -121,10 +126,10 @@ func TestOverflowCountersAndLastProc(t *testing.T) {
 
 	// Not started: nothing drains the depth-1 inbox, so the second
 	// invocation at proc 1 overflows.
-	if _, err := c.Invoke(1, adt.OpEnqueue, 1); err != nil {
+	if _, err := c.Invoke(1, adt.OpEnqueue, 1, -1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Invoke(1, adt.OpEnqueue, 2)
+	_, err = c.Invoke(1, adt.OpEnqueue, 2, -1)
 	var overflow *InboxOverflowError
 	if !errors.As(err, &overflow) {
 		t.Fatalf("second invoke returned %v, want *InboxOverflowError", err)

@@ -21,7 +21,7 @@ func TestDrainCompletesPending(t *testing.T) {
 	c.Start()
 	resps := make([]<-chan Response, 3)
 	for p := 0; p < 3; p++ {
-		ch, err := c.Invoke(sim.ProcID(p), adt.OpEnqueue, p)
+		ch, err := c.Invoke(sim.ProcID(p), adt.OpEnqueue, p, -1)
 		if err != nil {
 			t.Fatalf("invoke at p%d: %v", p, err)
 		}
@@ -51,7 +51,7 @@ func TestDrainCompletesPending(t *testing.T) {
 func TestDrainTimeout(t *testing.T) {
 	c, _ := newQueueCluster(t, 2)
 	c.Start()
-	if _, err := c.Invoke(0, adt.OpEnqueue, 1); err != nil {
+	if _, err := c.Invoke(0, adt.OpEnqueue, 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Drain(0); err == nil {
@@ -110,7 +110,7 @@ func TestStressSequentialPerProcess(t *testing.T) {
 				default:
 					op = adt.OpPeek
 				}
-				ch, err := c.Invoke(sim.ProcID(p), op, arg)
+				ch, err := c.Invoke(sim.ProcID(p), op, arg, -1)
 				if err != nil {
 					t.Errorf("proc %d op %d (%s): %v", p, n, op, err)
 					return
@@ -133,7 +133,7 @@ func TestStressSequentialPerProcess(t *testing.T) {
 	p := rtParams(5)
 	time.Sleep(time.Duration(p.D+p.Epsilon)*tick + 50*time.Millisecond)
 	for i := 0; ; i++ {
-		ch, err := c.Invoke(sim.ProcID(i%5), adt.OpDequeue, nil)
+		ch, err := c.Invoke(sim.ProcID(i%5), adt.OpDequeue, nil, -1)
 		if err != nil {
 			t.Fatalf("drain dequeue %d at proc %d: %v", i, i%5, err)
 		}

@@ -41,7 +41,7 @@ func TestTimerMapDrainsAfterFire(t *testing.T) {
 	defer c.Stop()
 	for i := 0; i < 50; i++ {
 		proc := sim.ProcID(i % 2)
-		ch, err := c.Invoke(proc, "op", i)
+		ch, err := c.Invoke(proc, "op", i, -1)
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -92,7 +92,7 @@ func TestTimerMapDrainsOnCancel(t *testing.T) {
 func TestTimerMapDrainsOnStop(t *testing.T) {
 	c, _ := newQueueCluster(t, 3)
 	c.Start()
-	c.Call(0, "enqueue", 1) // leaves replication timers pending on peers
+	c.Call(0, "enqueue", 1, -1) // leaves replication timers pending on peers
 	c.Stop()
 	if got := c.timerCount(); got != 0 {
 		t.Fatalf("timers after Stop = %d, want 0", got)

@@ -23,7 +23,7 @@ type serveMetrics struct {
 	drainState *obs.Gauge
 	perClass   map[classify.Class]*obs.Hist
 	// terms[class][term] receives the per-term latency attribution of
-	// every completed operation when a causal tracer is installed
+	// every completed operation when an obs.Collector is installed
 	// (trace_term_ticks{class=...,term=...}); nil maps when tracing is off
 	// keep /metrics output unchanged.
 	terms map[classify.Class][]*obs.Hist

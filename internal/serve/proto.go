@@ -465,7 +465,7 @@ func (s *Server) handleRequest(req request) response {
 		return errResponse(req.id,
 			"serve: single-object server: request has an object key (connect to a shard router, or drop the key)")
 	}
-	r, err := s.CallTraced(req.op, req.arg, traceParent(req.trace))
+	r, err := s.call(req.op, req.arg, traceParent(req.trace))
 	if err != nil {
 		return errResponse(req.id, err.Error())
 	}

@@ -259,7 +259,7 @@ func (s *Server) Start() {
 		go func() {
 			defer s.workers.Done()
 			for c := range q {
-				resp, err := s.cluster.CallTraced(proc, c.op, c.arg, c.parent)
+				resp, err := s.cluster.Call(proc, c.op, c.arg, c.parent)
 				if err == nil {
 					s.rec.record(resp)
 					s.obsm.observe(resp.Class, int64(resp.Latency()))
@@ -283,13 +283,13 @@ func (s *Server) Start() {
 // occupies one replica slot, so at most n operations are in flight at
 // once and each process has at most one pending operation.
 func (s *Server) Call(op string, arg any) (rtnet.Response, error) {
-	return s.CallTraced(op, arg, -1)
+	return s.call(op, arg, -1)
 }
 
-// CallTraced is Call carrying a causal parent span — the client-side
-// span propagated through the wire protocols' trace context — recorded
-// as the operation's parent edge when a causal tracer is installed.
-func (s *Server) CallTraced(op string, arg any, parent int64) (rtnet.Response, error) {
+// call is Call carrying a causal parent span — the client-side span
+// propagated through the wire protocols' trace context — recorded as the
+// operation's parent edge when a tracer is installed.
+func (s *Server) call(op string, arg any, parent int64) (rtnet.Response, error) {
 	if _, ok := spec.FindOp(s.dt, op); !ok {
 		return rtnet.Response{}, fmt.Errorf("serve: type %s has no operation %q", s.dt.Name(), op)
 	}

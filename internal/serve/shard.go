@@ -217,12 +217,12 @@ func (ss *ShardSet) SetTracers(make func(shard int) obs.Tracer) {
 // CallKey executes one operation against the named object, routing it to
 // the key's home shard. Blocks until the response, like Server.Call.
 func (ss *ShardSet) CallKey(key, op string, arg any) (rtnet.Response, error) {
-	return ss.CallKeyTraced(key, op, arg, -1)
+	return ss.callKey(key, op, arg, -1)
 }
 
-// CallKeyTraced is CallKey carrying a causal parent span (the wire trace
+// callKey is CallKey carrying a causal parent span (the wire trace
 // context) down to the shard's cluster.
-func (ss *ShardSet) CallKeyTraced(key, op string, arg any, parent int64) (rtnet.Response, error) {
+func (ss *ShardSet) callKey(key, op string, arg any, parent int64) (rtnet.Response, error) {
 	if key == "" {
 		return rtnet.Response{}, fmt.Errorf("serve: sharded call needs a non-empty object key")
 	}
@@ -247,7 +247,7 @@ func (ss *ShardSet) CallKeyTraced(key, op string, arg any, parent int64) (rtnet.
 		return rtnet.Response{}, err
 	}
 	ss.routed[shard].Inc()
-	return ss.shards[shard].CallTraced(op, karg, parent)
+	return ss.shards[shard].call(op, karg, parent)
 }
 
 // keyedArg packs (key, base arg) into the keyed argument convention.
@@ -262,7 +262,7 @@ func (ss *ShardSet) handleRequest(req request) response {
 		return errResponse(req.id,
 			fmt.Sprintf("serve: shard router (%d shards): request needs an object key", len(ss.shards)))
 	}
-	r, err := ss.CallKeyTraced(req.key, req.op, req.arg, traceParent(req.trace))
+	r, err := ss.callKey(req.key, req.op, req.arg, traceParent(req.trace))
 	if err != nil {
 		return errResponse(req.id, err.Error())
 	}

@@ -217,13 +217,11 @@ type Engine struct {
 	metrics *EngineMetrics
 	tracer  obs.Tracer
 	tracing bool
-	// causal is tracer's CausalTracer extension when it has one; handling
-	// is the span of the event currently being dispatched (-1 outside a
-	// handler). While a handler for span S runs, sends and timer
-	// registrations it makes inherit S — this is what attributes a quorum
-	// replica's ack to the coordinator's operation rather than to the
-	// replica's own (unrelated) pending span.
-	causal   obs.CausalTracer
+	// handling is the span of the event currently being dispatched (-1
+	// outside a handler). While a handler for span S runs, sends and
+	// timer registrations it makes inherit S — this is what attributes a
+	// quorum replica's ack to the coordinator's operation rather than to
+	// the replica's own (unrelated) pending span.
 	handling int64
 
 	// OnRespond, if non-nil, is called after every operation response with
@@ -309,7 +307,6 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	e.metrics = nil
 	e.tracer = nil
 	e.tracing = false
-	e.causal = nil
 	e.handling = -1
 	if e.MaxSteps == 0 {
 		e.MaxSteps = 10_000_000
@@ -339,17 +336,12 @@ type EngineMetrics struct {
 // report into a previous owner's instruments.
 func (e *Engine) SetMetrics(m *EngineMetrics) { e.metrics = m }
 
-// SetTracer installs a span tracer (obs.Nop or nil disables, the
-// default). Cleared by Reset. Spans are keyed by operation SeqID;
+// SetTracer installs a span tracer (nil disables, the default). Cleared by Reset. Spans are keyed by operation SeqID;
 // deliveries and timer fires are attributed to the operation pending at
 // the sending/registering process when the message or timer was created.
 func (e *Engine) SetTracer(t obs.Tracer) {
 	e.tracer = t
-	e.tracing = !obs.IsNop(t)
-	e.causal = nil
-	if e.tracing {
-		e.causal, _ = t.(obs.CausalTracer)
-	}
+	e.tracing = t != nil
 }
 
 // Params returns the engine's model parameters.
@@ -555,7 +547,7 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 			}
 			if e.tracing {
 				e.handling = ev.inv.SeqID
-				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.inv.Op, int64(e.now))
+				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, -1, ev.inv.Op, int64(e.now))
 			}
 			e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
 		case evDeliver:
@@ -564,11 +556,7 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 			}
 			if e.tracing {
 				e.handling = ev.span
-				if e.causal != nil {
-					e.causal.Deliver(ev.span, int32(ev.proc), int64(e.now), int64(ev.sent), 0)
-				} else {
-					e.tracer.Event(ev.span, obs.StageDeliver, int32(ev.proc), int64(e.now))
-				}
+				e.tracer.Deliver(ev.span, int32(ev.proc), int64(e.now), int64(ev.sent), 0)
 			}
 			e.nodes[ev.proc].OnMessage(ctx, ev.from, ev.payload)
 		case evTimer:
