@@ -89,7 +89,7 @@ stat-smoke:
 trace-smoke:
 	$(GO) test -count=1 -run 'TestGoldenTrace|TestCmdTraceErrors' ./cmd/lintime/
 	$(GO) test -race -count=1 -run 'TestAttributionIdentityAllBackends|TestTracingDoesNotPerturbExecution' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestServerTracing|TestBatchResidencyTraced|TestCollector|TestSpanLifecycle' ./internal/serve/ ./internal/rtnet/ ./internal/obs/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestServerTracing|TestCollector|TestSpanLifecycle' ./internal/serve/ ./internal/rtnet/ ./internal/obs/ ./internal/sim/
 	$(GO) run ./cmd/lintime load -n 3 -clients 4 -duration 3s -trace 64 -seed 1 -require-slo
 	$(GO) run ./cmd/lintime trace -backend quorum -ops 3 -o /tmp/trace-smoke.json
 	@echo "trace-smoke: goldens, race-hardened tracing tests, and live traced load OK"

@@ -17,7 +17,6 @@ import (
 	"lintime/internal/classify"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
-	"lintime/internal/rtnet"
 	"lintime/internal/serve"
 	"lintime/internal/sim"
 	"lintime/internal/simtime"
@@ -51,7 +50,6 @@ type serveEcho struct {
 	OffsetTicks []int64           `json:"offset_ticks"`
 	Seed        int64             `json:"seed"`
 	QueueDepth  int               `json:"queue_depth"`
-	InboxDepth  int               `json:"inbox_depth"`
 	Classes     map[string]string `json:"classes"`
 	// FormulaTicks maps each class to its Algorithm 1 worst-case latency
 	// in ticks; BudgetTicks is the scheduling-jitter allowance the load
@@ -75,10 +73,6 @@ func buildServeEcho(s *serve.Server, addr string, tick time.Duration) serveEcho 
 	if backend == harness.AlgCore {
 		backend = ""
 	}
-	inboxDepth := cfg.InboxDepth
-	if inboxDepth == 0 {
-		inboxDepth = rtnet.DefaultInboxDepth
-	}
 	offsets := s.Trace().Offsets
 	offsetTicks := make([]int64, len(offsets))
 	for i, off := range offsets {
@@ -88,7 +82,7 @@ func buildServeEcho(s *serve.Server, addr string, tick time.Duration) serveEcho 
 		Type: cfg.TypeName, Backend: backend, Addr: addr,
 		N: p.N, D: int64(p.D), U: int64(p.U), Epsilon: int64(p.Epsilon), X: int64(p.X),
 		TickNS: tick.Nanoseconds(), Offsets: cfg.Offsets, OffsetTicks: offsetTicks,
-		Seed: cfg.Seed, QueueDepth: cfg.QueueDepth, InboxDepth: inboxDepth, Classes: classes,
+		Seed: cfg.Seed, QueueDepth: cfg.QueueDepth, Classes: classes,
 		FormulaTicks: formulas, BudgetTicks: int64(serve.JitterBudget(tick)),
 	}
 }
@@ -130,8 +124,6 @@ func cmdServe(args []string) error {
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
 	seed := fs.Int64("seed", 1, "master seed (delay draws, offset assignment)")
 	queueDepth := fs.Int("queue-depth", 64, "per-replica request queue bound (backpressure)")
-	inboxDepth := fs.Int("inbox-depth", rtnet.DefaultInboxDepth, "per-process rtnet inbox bound (overflow is a typed cluster failure)")
-	batchWindow := fs.Int("batch-window", 0, "broadcast coalescing window in ticks (0 = one tick when u ≥ 2, -1 = off; must be ≤ u/2)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight operations")
 	shards := fs.Int("shards", 1, "shard count: >1 serves named objects hash-routed across independent clusters")
 	shardX := fs.String("shard-x", "", "per-shard X overrides, comma-separated ticks (requires -shards entries)")
@@ -166,8 +158,7 @@ func cmdServe(args []string) error {
 	}
 	baseCfg := serve.Config{
 		Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick,
-		Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth, InboxDepth: *inboxDepth,
-		BatchWindow: *batchWindow,
+		Offsets: *offsets, Seed: *seed, QueueDepth: *queueDepth,
 	}
 
 	// The M=1 case stays on the single-object server: same wire behavior,
@@ -426,7 +417,6 @@ func cmdLoad(args []string) error {
 	addr := fs.String("addr", "", "drive a remote `lintime serve` at this address (model flags must match the server)")
 	codec := fs.String("codec", serve.CodecJSON, "wire codec for -addr runs: json (legacy) or binary (negotiated fast path)")
 	pipeline := fs.Int("pipeline", 1, "operations each client keeps in flight (k > 1 fills the replicas' slots; multiset of issued ops stays deterministic)")
-	batchWindow := fs.Int("batch-window", 0, "in-process cluster broadcast coalescing window in ticks (0 = one tick when u ≥ 2, -1 = off; must be ≤ u/2)")
 	tick := fs.Duration("tick", time.Millisecond, "tick duration of the driven cluster")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets for the in-process cluster")
 	simMode := fs.Bool("sim", false, "run the workload on the virtual-time engine instead (deterministic, tick-exact; clients = n, requires -ops)")
@@ -615,7 +605,6 @@ func cmdLoad(args []string) error {
 		ss, err := serve.NewShardSet(serve.ShardSetConfig{
 			Config: serve.Config{
 				Params: p, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed,
-				BatchWindow: *batchWindow,
 			},
 			Shards: *shards, ShardX: sx,
 		})
@@ -647,7 +636,6 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "inproc"
-		sum.Config.BatchTicks = ss.Config().ResolvedBatchWindow()
 		if *checkObjects {
 			rep := ss.CheckPerObject(0)
 			fmt.Fprintf(os.Stderr, "lintime load: per-object check: %d objects, %d ops, %d routing violations, %d non-linearizable\n",
@@ -660,7 +648,6 @@ func cmdLoad(args []string) error {
 	default:
 		s, err := serve.New(serve.Config{
 			Params: p, Backend: *backend, TypeName: *typeName, Tick: *tick, Offsets: *offsets, Seed: *seed,
-			BatchWindow: *batchWindow,
 		})
 		if err != nil {
 			return err
@@ -705,7 +692,6 @@ func cmdLoad(args []string) error {
 			return err
 		}
 		sum.Config.Mode = "inproc"
-		sum.Config.BatchTicks = s.Config().ResolvedBatchWindow()
 	}
 	if err := stopProfile(); err != nil {
 		return err

@@ -18,9 +18,9 @@ func statSnapshot(t *testing.T, aopP99 int64) obs.Snapshot {
 	r.Counter("serve_calls_total").Add(40)
 	r.Counter("rtnet_messages_delivered_total").Add(80)
 	r.Counter("rtnet_timer_fires_total").Add(20)
+	r.Counter("rtnet_late_deliveries_total").Add(2)
 	r.Gauge("serve_inflight_ops").Set(3)
 	r.Gauge("serve_drain_state").Set(0)
-	r.Max("rtnet_inbox_depth_max").Observe(6)
 	for class, p99 := range map[string]int64{"AOP": aopP99, "MOP": 30, "OOP": 55} {
 		h := r.Hist(`serve_latency_ticks{class="`+class+`"}`, 256)
 		h.Add(p99 / 2)
@@ -56,8 +56,8 @@ func TestRenderStatFrame(t *testing.T) {
 		"inflight 3",
 		"state serving",
 		"rtnet   delivered 80",
-		"inbox max 6",
-		"overflows 0",
+		"timers 20",
+		"late 2.50%",
 		"AOP", "MOP", "OOP",
 		"verdict",
 	} {
@@ -97,17 +97,6 @@ func TestRenderStatQuorumLine(t *testing.T) {
 	renderStat(&sb, snap, snap, time.Second)
 	if !strings.Contains(sb.String(), "quorum  phases 24 (0.0/s)  crashes 1  post-crash drops 3") {
 		t.Fatalf("quorum line missing:\n%s", sb.String())
-	}
-}
-
-func TestRenderStatOverflowNote(t *testing.T) {
-	snap := statSnapshot(t, 41)
-	snap.Counters["rtnet_inbox_overflows_total"] = 2
-	snap.Gauges["rtnet_inbox_overflow_last_proc"] = 1
-	var sb strings.Builder
-	renderStat(&sb, snap, snap, time.Second)
-	if !strings.Contains(sb.String(), "overflows 2 (last p1)") {
-		t.Fatalf("overflow note missing:\n%s", sb.String())
 	}
 }
 
@@ -183,18 +172,14 @@ func TestRenderStatWireLine(t *testing.T) {
 		t.Fatalf("idle wire line rendered:\n%s", sb.String())
 	}
 
-	// Codec counts fold across shards; batch percentiles report the worst
-	// shard (merged percentiles would be fiction).
+	// Codec counts fold across shards.
 	snap := statSnapshot(t, 41)
 	snap.Counters[`serve_connections_total{codec="json"}`] = 2
 	snap.Counters[`serve_connections_total{shard="0",codec="json"}`] = 1
 	snap.Counters[`serve_connections_total{shard="1",codec="binary"}`] = 4
-	snap.Hists = map[string]obs.HistSummary{}
-	snap.Hists[`serve_batch_size{shard="0"}`] = obs.HistSummary{Count: 10, P50: 2, P99: 5, Max: 6}
-	snap.Hists[`serve_batch_size{shard="1"}`] = obs.HistSummary{Count: 5, P50: 3, P99: 4, Max: 8}
 	sb.Reset()
 	renderStat(&sb, snap, snap, time.Second)
-	if !strings.Contains(sb.String(), "wire    conns json 3  binary 4  batches 15  size p50 3  p99 5  max 8") {
+	if !strings.Contains(sb.String(), "wire    conns json 3  binary 4\n") {
 		t.Fatalf("wire line missing or wrong:\n%s", sb.String())
 	}
 }

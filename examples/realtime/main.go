@@ -1,11 +1,12 @@
-// realtime: the same Algorithm 1 replicas running live on goroutines and
-// channels instead of the virtual-time simulator.
+// realtime: the same Algorithm 1 replicas running live, paced by the
+// wall clock, instead of as fast as the virtual-time simulator can go.
 //
-// Three replicas of a shared queue run as goroutines; message delays are
-// real sleeps drawn from [d-u, d] ticks (1 tick = 1ms here) and local
-// clocks carry constant offsets within ε. The printed latencies are wall
-// clock and approximate the virtual-time formulas up to goroutine
-// scheduling jitter.
+// Three replicas of a shared queue run on one cluster loop that drives
+// the simulator's event engine against a monotonic clock (1 tick = 1ms
+// here): message delays drawn from [d-u, d] ticks take that long in wall
+// time, and local clocks carry constant offsets within ε. Each call
+// blocks for its operation's wall-clock latency; the printed latencies
+// are the virtual-tick stamps, which match the formulas exactly.
 //
 //	go run ./examples/realtime
 package main
@@ -33,7 +34,7 @@ func main() {
 	queue := adt.NewQueue()
 	classes := classify.Classify(queue, classify.DefaultConfig()).Classes()
 	nodes := core.NewReplicas(p.N, queue, classes, core.DefaultTimers(p))
-	cluster, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, sim.SpreadOffsets(p.N, p.Epsilon), nodes, 1)
+	cluster, err := rtnet.NewCluster(p, tick, sim.SpreadOffsets(p.N, p.Epsilon), nodes, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func main() {
 	show(2, adt.OpDequeue, nil)
 	show(0, adt.OpPeek, nil)
 
-	fmt.Println("\nsame Replica type as the simulator — only the substrate changed")
+	fmt.Println("\nsame Replica type and event engine as the simulator — only the clock changed")
 }
 
 func theory(p simtime.Params, op string) simtime.Duration {

@@ -397,8 +397,8 @@ func (c *Collector) Trees() []*Tree {
 // Attribute decomposes one completed operation's latency into terms.
 // class is the operation's latency class ("AOP", "MOP", anything else is
 // treated as unclassified); invoke is the measured invoke tick (the
-// submission instant, which precedes the owner's StageInvoke by the
-// inbox queue time). Returns false if the span is not retained or not
+// submission instant, which precedes the owner's StageInvoke by any
+// time spent queued before the owner handles it). Returns false if the span is not retained or not
 // complete. The returned terms sum exactly to end − invoke.
 func (c *Collector) Attribute(span int64, class string, invoke int64, p AttrParams) (Attribution, bool) {
 	c.mu.Lock()

@@ -105,6 +105,11 @@ func TestSnapshotMergeAndFlatten(t *testing.T) {
 	if snap.Counters["runs_total"] != 3 || snap.Counters["other_total"] != 1 {
 		t.Fatalf("merged counters wrong: %+v", snap.Counters)
 	}
+	// A counter both registries keep sums across them.
+	b.Counter("runs_total").Add(2)
+	if got := obs.TakeSnapshot(a, b).Counters["runs_total"]; got != 5 {
+		t.Fatalf("shared counter merged to %d, want 5 (3 + 2)", got)
+	}
 	if snap.Gauges["depth"] != 7 || snap.Gauges["peak"] != 11 || snap.Gauges["live"] != 42 {
 		t.Fatalf("merged gauges wrong (maxes and funcs fold in): %+v", snap.Gauges)
 	}

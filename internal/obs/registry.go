@@ -186,8 +186,11 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// TakeSnapshot merges the snapshots of several registries (later
-// registries win on a name collision; callers keep namespaces disjoint).
+// TakeSnapshot merges the snapshots of several registries. Counters that
+// share a name add up: each registry counted its own events (a server's
+// crashes_injected and obs.Default's from fault-plan runs). For gauges and
+// histograms, which cannot be summed, the later registry wins a name
+// collision; callers keep those namespaces disjoint.
 func TakeSnapshot(regs ...*Registry) Snapshot {
 	merged := Snapshot{
 		Counters: map[string]int64{},
@@ -200,7 +203,7 @@ func TakeSnapshot(regs ...*Registry) Snapshot {
 		}
 		s := r.Snapshot()
 		for k, v := range s.Counters {
-			merged.Counters[k] = v
+			merged.Counters[k] += v
 		}
 		for k, v := range s.Gauges {
 			merged.Gauges[k] = v

@@ -23,12 +23,11 @@ import (
 //
 //	AOP: d−X+ε    MOP: X+ε    OOP: d+ε
 //
-// The lower bound is exact — timers never fire early, the substrate
-// samples message delays from the lower half of [d−u, d], and on a quiet
-// cluster no concurrent mutator's drain can execute a mixed operation
-// before its own stabilization timer. The upper bound allows the
-// scheduling-jitter budget serve.JitterBudget derives from the tick
-// duration. A failure prints the configuration and the space-time
+// The lower bound is exact — the engine fires timers at their virtual
+// tick, and on a quiet cluster no concurrent mutator's drain can execute
+// a mixed operation before its own stabilization timer. The upper bound
+// allows the scheduling-jitter budget serve.JitterBudget derives from the
+// tick duration. A failure prints the configuration and the space-time
 // diagram of the offending run.
 func TestLatencyWithinJitterBudget(t *testing.T) {
 	if testing.Short() {
@@ -61,7 +60,7 @@ func TestLatencyWithinJitterBudget(t *testing.T) {
 				nodes[i] = core.NewReplica(dt, classes, core.DefaultTimers(p))
 			}
 			offsets := sim.SpreadOffsets(n, p.Epsilon)
-			c, err := rtnet.NewCluster(rtnet.Params{Params: p}, tick, offsets, nodes, 123)
+			c, err := rtnet.NewCluster(p, tick, offsets, nodes, 123)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package rtnet
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -44,7 +43,7 @@ func newQueueCluster(t *testing.T, n int) (*Cluster, []*core.Replica) {
 		replicas[i] = core.NewReplica(dt, classes, core.DefaultTimers(p))
 		nodes[i] = replicas[i]
 	}
-	c, err := NewCluster(Params{Params: p}, tick, sim.SpreadOffsets(n, p.Epsilon), nodes, 99)
+	c, err := NewCluster(p, tick, sim.SpreadOffsets(n, p.Epsilon), nodes, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +169,15 @@ func TestRealTimeValidation(t *testing.T) {
 	dt, _ := adt.Lookup("queue")
 	classes := classify.Classify(dt, classify.DefaultConfig()).Classes()
 	nodes := core.NewReplicas(2, dt, classes, core.DefaultTimers(p))
-	if _, err := NewCluster(Params{Params: p}, 0, sim.ZeroOffsets(2), nodes, 1); err == nil {
+	if _, err := NewCluster(p, 0, sim.ZeroOffsets(2), nodes, 1); err == nil {
 		t.Error("zero tick should error")
 	}
-	if _, err := NewCluster(Params{Params: p}, tick, sim.ZeroOffsets(3), nodes, 1); err == nil {
+	if _, err := NewCluster(p, tick, sim.ZeroOffsets(3), nodes, 1); err == nil {
 		t.Error("offsets length mismatch should error")
 	}
 	bad := p
 	bad.U = p.D + 1
-	if _, err := NewCluster(Params{Params: bad}, tick, sim.ZeroOffsets(2), nodes, 1); err == nil {
+	if _, err := NewCluster(bad, tick, sim.ZeroOffsets(2), nodes, 1); err == nil {
 		t.Error("invalid params should error")
 	}
 }
@@ -202,8 +201,8 @@ func TestRealTimeStopTerminates(t *testing.T) {
 // TestRealTimeUseNetwork drives the cluster's delays from a deterministic
 // sim.Network instead of the random draw: the run must complete with the
 // replicas converged, and out-of-range rule values must be clamped into
-// the lower half of [d-u, d] (the band the default draw uses, chosen so
-// scheduling jitter cannot push deliveries past d).
+// the lower half of [d-u, d] (the band the default draw uses; the engine
+// rejects any delay outside [d-u, d]).
 func TestRealTimeUseNetwork(t *testing.T) {
 	p := rtParams(3)
 	c, replicas := newQueueCluster(t, 3)
@@ -235,72 +234,3 @@ func TestRealTimeUseNetwork(t *testing.T) {
 		}
 	}
 }
-
-// TestInboxOverflowTypedError pins the bounded-inbox contract: a post
-// that finds the inbox full fails the cluster with a typed
-// *InboxOverflowError instead of silently stalling the posting
-// goroutine. The cluster is deliberately not started, so nothing drains
-// the inbox and a depth-1 box overflows on the second invocation.
-func TestInboxOverflowTypedError(t *testing.T) {
-	p := rtParams(2)
-	dt, _ := adt.Lookup("queue")
-	classes := classify.Classify(dt, classify.DefaultConfig()).Classes()
-	nodes := core.NewReplicas(2, dt, classes, core.DefaultTimers(p))
-	c, err := NewCluster(Params{Params: p, InboxDepth: 1}, tick, sim.ZeroOffsets(2), nodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.InboxDepth(); got != 1 {
-		t.Fatalf("InboxDepth() = %d, want 1", got)
-	}
-	if _, err := c.Invoke(0, adt.OpEnqueue, 1, -1); err != nil {
-		t.Fatalf("first invoke: %v", err)
-	}
-	_, err = c.Invoke(0, adt.OpEnqueue, 2, -1)
-	var overflow *InboxOverflowError
-	if !errors.As(err, &overflow) {
-		t.Fatalf("second invoke returned %v, want *InboxOverflowError", err)
-	}
-	if overflow.Proc != 0 || overflow.Depth != 1 {
-		t.Errorf("overflow = %+v, want proc 0 depth 1", overflow)
-	}
-	if !errors.As(c.Err(), &overflow) {
-		t.Errorf("Err() = %v, want the recorded overflow", c.Err())
-	}
-	// The failure is sticky: later calls fail fast, and Drain surfaces it.
-	if _, err := c.Call(1, adt.OpPeek, nil, -1); err == nil {
-		t.Error("Call succeeded on a failed cluster")
-	}
-	if err := c.Drain(time.Second); !errors.As(err, &overflow) {
-		t.Errorf("Drain() = %v, want the recorded overflow", err)
-	}
-}
-
-// TestDefaultInboxDepth pins the lifted default.
-func TestDefaultInboxDepth(t *testing.T) {
-	c, _ := newQueueCluster(t, 2)
-	if got := c.InboxDepth(); got != DefaultInboxDepth {
-		t.Fatalf("InboxDepth() = %d, want %d", got, DefaultInboxDepth)
-	}
-	if DefaultInboxDepth != 1024 {
-		t.Fatalf("DefaultInboxDepth = %d, want the historical 1024", DefaultInboxDepth)
-	}
-	nodes := make([]sim.Node, 2)
-	for i := range nodes {
-		nodes[i] = echoTimerNode{}
-	}
-	p := rtParams(2)
-	if _, err := NewCluster(Params{Params: p, InboxDepth: -1}, tick, sim.ZeroOffsets(2), nodes, 1); err == nil {
-		t.Error("negative inbox depth should error")
-	}
-}
-
-// echoTimerNode is a minimal node for constructor-validation tests.
-type echoTimerNode struct{}
-
-func (echoTimerNode) Init(sim.Context) {}
-func (echoTimerNode) OnInvoke(ctx sim.Context, inv sim.Invocation) {
-	ctx.Respond(inv.SeqID, inv.Arg)
-}
-func (echoTimerNode) OnMessage(sim.Context, sim.ProcID, any) {}
-func (echoTimerNode) OnTimer(sim.Context, any)               {}

@@ -65,7 +65,7 @@ func TestDrainTimeout(t *testing.T) {
 // independent of how the other processes are scheduled.
 func TestSendRngDerivation(t *testing.T) {
 	c, _ := newQueueCluster(t, 3)
-	for i, rng := range c.sendRngs {
+	for i, rng := range c.net.sendRngs {
 		want := rand.New(rand.NewSource(harness.DeriveSeed(99, fmt.Sprintf("rtnet/send/p%d", i))))
 		for k := 0; k < 8; k++ {
 			if got, exp := rng.Int63(), want.Int63(); got != exp {
@@ -146,5 +146,34 @@ func TestStressSequentialPerProcess(t *testing.T) {
 			t.Fatalf("drain dequeue %d at proc %d never responded; %d pending, %d live timers",
 				i, i%5, c.Pending(), c.timerCount())
 		}
+	}
+}
+
+// TestClusterKeepsPendingRecordsOnly: a long-running cluster must not
+// grow with the number of operations it has served. After K operations
+// its engine holds no completed operation record.
+func TestClusterKeepsPendingRecordsOnly(t *testing.T) {
+	c, _ := newQueueCluster(t, 3)
+	c.Start()
+	defer c.Stop()
+	const k = 60
+	var wg sync.WaitGroup
+	for p := 0; p < 3; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < k/3; i++ {
+				if _, err := c.Call(sim.ProcID(p), adt.OpEnqueue, p*100+i, -1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	records := -1
+	c.Inspect(0, func() { records = len(c.eng.Trace().Ops) })
+	if records != 0 {
+		t.Fatalf("engine holds %d op records after serving %d operations, want 0", records, k)
 	}
 }

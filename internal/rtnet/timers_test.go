@@ -8,14 +8,25 @@ import (
 	"lintime/internal/simtime"
 )
 
+// timerCount returns the number of protocol timers still due to fire,
+// read on the loop; a stopped cluster has none.
+func (c *Cluster) timerCount() int {
+	n := 0
+	c.Inspect(0, func() { n = c.eng.Timers() })
+	return n
+}
+
 // timerNode responds to every invocation from a timer callback, so each
-// operation exercises the SetTimer → fire → OnTimer path end to end.
+// operation exercises the SetTimer → fire → OnTimer path end to end. It
+// keeps its Context so a test can set and cancel timers as a handler
+// would.
 type timerNode struct {
 	delay simtime.Duration
 	seq   int64
+	ctx   sim.Context
 }
 
-func (tn *timerNode) Init(ctx sim.Context) {}
+func (tn *timerNode) Init(ctx sim.Context) { tn.ctx = ctx }
 func (tn *timerNode) OnInvoke(ctx sim.Context, inv sim.Invocation) {
 	tn.seq = inv.SeqID
 	ctx.SetTimer(tn.delay, "fire")
@@ -26,14 +37,13 @@ func (tn *timerNode) OnTimer(ctx sim.Context, tag any) {
 }
 
 // TestTimerMapDrainsAfterFire is the regression test for the timer leak:
-// fired timers must delete their Cluster.timers entries, including
-// zero-delay timers that fire before SetTimer returns — previously the
-// fire-side delete could run before registration, dropping the firing and
-// leaking the entry forever.
+// fired timers must leave the live set, including zero-delay timers that
+// fire at the tick they were set — a firing must never be dropped and
+// its entry never leaked.
 func TestTimerMapDrainsAfterFire(t *testing.T) {
 	p := simtime.Params{N: 2, D: 40, U: 20, Epsilon: 10, X: 10}
 	nodes := []sim.Node{&timerNode{delay: 0}, &timerNode{delay: 5}}
-	c, err := NewCluster(Params{Params: p}, tick, sim.ZeroOffsets(2), nodes, 1)
+	c, err := NewCluster(p, tick, sim.ZeroOffsets(2), nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +76,24 @@ func TestTimerMapDrainsAfterFire(t *testing.T) {
 // TestTimerMapDrainsOnCancel asserts CancelTimer removes the entry.
 func TestTimerMapDrainsOnCancel(t *testing.T) {
 	p := simtime.Params{N: 2, D: 40, U: 20, Epsilon: 10, X: 10}
-	nodes := []sim.Node{&timerNode{}, &timerNode{}}
-	c, err := NewCluster(Params{Params: p}, tick, sim.ZeroOffsets(2), nodes, 1)
+	node := &timerNode{}
+	c, err := NewCluster(p, tick, sim.ZeroOffsets(2), []sim.Node{node, &timerNode{}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &rtCtx{c: c, proc: 0}
-	id := ctx.SetTimer(simtime.Duration(1e6), nil)
+	c.Start()
+	defer c.Stop()
+	var id sim.TimerID
+	c.Inspect(0, func() { id = node.ctx.SetTimer(simtime.Duration(1e6), nil) })
 	if got := c.timerCount(); got != 1 {
 		t.Fatalf("registered timers = %d, want 1", got)
 	}
-	ctx.CancelTimer(id)
+	c.Inspect(0, func() { node.ctx.CancelTimer(id) })
 	if got := c.timerCount(); got != 0 {
 		t.Fatalf("timers after cancel = %d, want 0", got)
 	}
 	// Canceling again is a no-op.
-	ctx.CancelTimer(id)
+	c.Inspect(0, func() { node.ctx.CancelTimer(id) })
 	if got := c.timerCount(); got != 0 {
 		t.Fatalf("timers after double cancel = %d, want 0", got)
 	}

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"lintime/internal/classify"
 	"lintime/internal/harness"
+	"lintime/internal/obs"
 	"lintime/internal/quorum"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
@@ -152,5 +155,30 @@ func TestRunLoadQuorumCrashMidRun(t *testing.T) {
 	}
 	if err := s.Drain(30 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestServerCrashCountedOnceOnMetrics: a single-object server merges its
+// registry with obs.Default, which holds the fault-plan crash counter
+// under the same name. One Crash must read as exactly one more
+// crashes_injected through ObsHandler — not hidden by obs.Default's
+// value, and not counted twice.
+func TestServerCrashCountedOnceOnMetrics(t *testing.T) {
+	base := obs.TakeSnapshot(obs.Default).Counters["crashes_injected"]
+	s := startQuorumServer(t, 3)
+	s.Crash(2)
+	srv := httptest.NewServer(s.ObsHandler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["crashes_injected"]; got != base+1 {
+		t.Fatalf("crashes_injected = %d after one Crash, want %d", got, base+1)
 	}
 }

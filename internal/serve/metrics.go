@@ -7,7 +7,6 @@ import (
 	"lintime/internal/classify"
 	"lintime/internal/obs"
 	"lintime/internal/rtnet"
-	"lintime/internal/sim"
 )
 
 // serveMetrics is the serving layer's instrument set. Every server owns
@@ -38,8 +37,8 @@ var metricClasses = []classify.Class{
 
 // wireMetrics builds the server's registry: per-class latency summaries
 // with their Algorithm 1 formula bounds alongside, call/in-flight/drain
-// accounting, the rtnet substrate instruments, and live per-process
-// inbox gauges. Called from New, before Start.
+// accounting, and the rtnet substrate instruments. Called from New,
+// before Start.
 func (s *Server) wireMetrics() {
 	reg := obs.NewRegistry()
 	s.reg = reg
@@ -86,15 +85,6 @@ func (s *Server) wireMetrics() {
 		rtLabels = []string{"shard", s.cfg.ShardLabel}
 	}
 	s.cluster.SetMetrics(rtnet.NewMetrics(reg, p, rtLabels...))
-	reg.GaugeFunc(name("rtnet_inbox_overflow_last_proc"), func() int64 {
-		return int64(s.cluster.LastOverflowProc())
-	})
-	for i := 0; i < p.N; i++ {
-		proc := sim.ProcID(i)
-		reg.GaugeFunc(name(fmt.Sprintf("rtnet_inbox_depth{proc=\"%d\"}", i)), func() int64 {
-			return int64(s.cluster.InboxLen(proc))
-		})
-	}
 }
 
 // observe streams one completed operation into the obs histograms

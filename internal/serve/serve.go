@@ -15,8 +15,8 @@
 //
 // Shutdown is a graceful drain: listeners close first (no new
 // connections), then new calls are refused, then every in-flight
-// operation completes, then the cluster drains and its node goroutines
-// exit, and finally open connections are torn down. Nothing is dropped.
+// operation completes, then the cluster drains and its loop exits, and
+// finally open connections are torn down. Nothing is dropped.
 package serve
 
 import (
@@ -61,18 +61,6 @@ type Config struct {
 	// QueueDepth bounds each replica's request queue (default 64); a full
 	// queue blocks Call, giving closed-loop backpressure.
 	QueueDepth int
-	// InboxDepth bounds each rtnet process inbox (default
-	// rtnet.DefaultInboxDepth). An overflow is a cluster failure surfaced
-	// through Call/Drain errors, never a silent stall.
-	InboxDepth int
-	// BatchWindow is the broadcast coalescing window in ticks: messages a
-	// replica sends to the same peer within the window share one delivery
-	// event while keeping every per-message delay inside the admissible
-	// [d-u, d] envelope (see rtnet.Params.BatchWindow). 0 selects the
-	// default — one tick, when the model's uncertainty allows it (u >= 2)
-	// — and -1 disables coalescing. Explicit windows must satisfy
-	// w <= u/2 or New fails.
-	BatchWindow int
 	// DataType, when non-nil, overrides TypeName with an explicit data
 	// type instance. The shard-set uses it to serve a keyed family
 	// (adt.Keyed) that has no registry name.
@@ -186,10 +174,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: unsupported backend %q (have %s, %s)",
 			cfg.Backend, harness.AlgCore, harness.AlgQuorum)
 	}
-	cluster, err := rtnet.NewCluster(
-		rtnet.Params{Params: cfg.Params, InboxDepth: cfg.InboxDepth,
-			BatchWindow: simtime.Duration(cfg.ResolvedBatchWindow())},
-		cfg.Tick, offsets, nodes, harness.DeriveSeed(cfg.Seed, "serve/net"))
+	cluster, err := rtnet.NewCluster(cfg.Params, cfg.Tick, offsets, nodes,
+		harness.DeriveSeed(cfg.Seed, "serve/net"))
 	if err != nil {
 		return nil, err
 	}
@@ -211,20 +197,6 @@ func New(cfg Config) (*Server, error) {
 	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(basis))
 	s.wireMetrics()
 	return s, nil
-}
-
-// ResolvedBatchWindow reports the broadcast coalescing window (in ticks)
-// the configuration selects: the explicit window, the one-tick default
-// when BatchWindow is 0 and u >= 2, or 0 (coalescing off).
-func (cfg Config) ResolvedBatchWindow() int {
-	switch {
-	case cfg.BatchWindow > 0:
-		return cfg.BatchWindow
-	case cfg.BatchWindow == 0 && cfg.Params.U >= 2:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func (s *Server) isDraining() bool {
@@ -408,15 +380,8 @@ func (s *Server) drain(timeout time.Duration) error {
 	return err
 }
 
-// Stats returns the latency accounting accumulated so far, including
-// inbox-overflow accounting when any overflow occurred.
-func (s *Server) Stats() Stats {
-	st := s.rec.snapshot()
-	if n := s.cluster.Overflows(); n > 0 {
-		st.Overflow = &OverflowInfo{Count: n, LastProc: s.cluster.LastOverflowProc()}
-	}
-	return st
-}
+// Stats returns the latency accounting accumulated so far.
+func (s *Server) Stats() Stats { return s.rec.snapshot() }
 
 // Trace assembles the recorded operations into a sim.Trace for the
 // linearizability checker and the diagram renderer. Operations are in
@@ -435,16 +400,6 @@ type Stats struct {
 	Ops      int                         `json:"ops"`
 	PerClass map[string]histio.Quantiles `json:"per_class"`
 	PerOp    map[string]histio.Quantiles `json:"per_op"`
-	// Overflow is set only when the cluster recorded an inbox overflow —
-	// nil keeps healthy-run documents (and their goldens) unchanged.
-	Overflow *OverflowInfo `json:"inbox_overflow,omitempty"`
-}
-
-// OverflowInfo reports inbox-overflow accounting: how many overflows the
-// substrate recorded and which process's inbox overflowed last.
-type OverflowInfo struct {
-	Count    int64 `json:"count"`
-	LastProc int32 `json:"last_proc"`
 }
 
 // recorder accumulates completed operations and their latency histograms.

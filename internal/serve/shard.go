@@ -334,19 +334,8 @@ func (ss *ShardSet) drain(timeout time.Duration) error {
 // Stats aggregates latency accounting across all shards.
 func (ss *ShardSet) Stats() Stats {
 	agg := newRecorder()
-	var overflow *OverflowInfo
 	for _, s := range ss.shards {
-		for _, op := range s.rec.ops() {
-			agg.recorded = append(agg.recorded, op)
-		}
-		st := s.Stats()
-		if st.Overflow != nil {
-			if overflow == nil {
-				overflow = &OverflowInfo{}
-			}
-			overflow.Count += st.Overflow.Count
-			overflow.LastProc = st.Overflow.LastProc
-		}
+		agg.recorded = append(agg.recorded, s.rec.ops()...)
 	}
 	// Rebuild histograms from the merged records for exact quantiles.
 	classes := harness.ClassesFor(ss.inner)
@@ -378,7 +367,6 @@ func (ss *ShardSet) Stats() Stats {
 	for op, h := range perOp {
 		st.PerOp[op] = h.Summary()
 	}
-	st.Overflow = overflow
 	return st
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"lintime/internal/adt"
 	"lintime/internal/harness"
 	"lintime/internal/obs"
+	"lintime/internal/rtnet"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
@@ -429,5 +431,72 @@ func TestRunLoadMeasuredWindow(t *testing.T) {
 	}
 	if sum.TotalOps > 0 && sum.OpsPerSec <= 0 {
 		t.Errorf("ops/sec = %v with %d ops", sum.OpsPerSec, sum.TotalOps)
+	}
+}
+
+// TestShardSetFastTickStaysInModel runs a sharded deployment at a 10µs
+// tick, where the host's timer lateness is many ticks long, with more
+// callers than replica slots. Host lag may only stretch wall-clock
+// latency: every object's history must still be linearizable and every
+// response's virtual latency within its class formula.
+func TestShardSetFastTickStaysInModel(t *testing.T) {
+	cfg := testShardConfig(3, 4)
+	cfg.Tick = 10 * time.Microsecond
+	ss, err := NewShardSet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.Start()
+	defer ss.Drain(30 * time.Second)
+
+	const workers, opsPerWorker = 16, 25
+	var (
+		mu    sync.Mutex
+		resps []rtnet.Response
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < opsPerWorker; i++ {
+				key := fmt.Sprintf("obj-%d", rng.Intn(16))
+				op, arg := adt.OpPeek, any(nil)
+				switch rng.Intn(5) {
+				case 0, 1:
+					op, arg = adt.OpEnqueue, w*1000+i
+				case 2, 3:
+					op = adt.OpDequeue
+				}
+				r, err := ss.CallKey(key, op, arg)
+				if err != nil {
+					t.Errorf("%s %s: %v", key, op, err)
+					return
+				}
+				mu.Lock()
+				resps = append(resps, r)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(resps) != workers*opsPerWorker {
+		t.Fatalf("%d responses, want %d", len(resps), workers*opsPerWorker)
+	}
+	over := 0
+	for _, r := range resps {
+		if f := FormulaTicks(cfg.Params, r.Class); r.Latency() > f {
+			if over++; over <= 5 {
+				t.Errorf("%s (%v) took %d virtual ticks, formula %d", r.Op, r.Class, r.Latency(), f)
+			}
+		}
+	}
+	if over > 0 {
+		t.Errorf("%d of %d responses above their class formula", over, len(resps))
+	}
+	if rep := ss.CheckPerObject(0); !rep.OK() {
+		t.Errorf("per-object check at a 10µs tick: %d of %d objects not linearizable, %d routing violations",
+			len(rep.NonLinearizable), rep.Keys, len(rep.RoutingViolations))
 	}
 }

@@ -7,7 +7,8 @@ import (
 	"lintime/internal/simtime"
 )
 
-// eventKind distinguishes scheduled event types.
+// eventKind distinguishes scheduled event types. The kinds are declared
+// in StepKind order, so StepKind(k) names a kind's step.
 type eventKind uint8
 
 const (
@@ -37,10 +38,11 @@ type event struct {
 
 	// span is the tracing span (operation SeqID) the event is attributed
 	// to: the sender's pending operation for deliveries, the registering
-	// process's pending operation for timers. Only stamped while a tracer
-	// is installed; -1 (or the zero value on untraced runs) means
-	// unattributed. sent is the send tick of a traced delivery, for
-	// causal delivery accounting.
+	// process's pending operation for timers, and for invocations the
+	// causal parent span (-1 for a local root). Deliveries and timers are
+	// only stamped while a tracer is installed; -1 (or the zero value on
+	// untraced runs) means unattributed. sent is the send tick of a
+	// delivery.
 	span int64
 	sent simtime.Time
 }
@@ -165,8 +167,14 @@ const (
 	// running step hash, not the Steps slice).
 	TraceOps
 	// TraceOff additionally skips message records (Trace.Msgs); only Ops
-	// are kept, the minimum for responses to be observable at all.
+	// are kept, the minimum for a finished run's responses to be
+	// observable at all.
 	TraceOff
+	// TraceNone keeps no completed operation either: each OpRecord lives
+	// only while its operation is pending and is handed to OnRespond when
+	// it completes, so a long-running engine holds O(pending) records
+	// instead of one per operation ever served. Trace().Ops stays empty.
+	TraceNone
 )
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters; the engine
@@ -202,6 +210,8 @@ type Engine struct {
 	canceled map[TimerID]bool
 	pending  map[ProcID]int64 // pending op SeqID per process
 	opIndex  map[int64]int    // SeqID → index into trace.Ops
+	live     []OpRecord       // TraceNone: the pending op record per process
+	firing   TimerID          // timer whose handler is running (-1 outside one)
 	crashes  []simtime.Time   // per-proc crash times (empty = no faults)
 	drops    map[int64]bool   // send ordinals lost in transit
 	trace    *Trace
@@ -229,6 +239,13 @@ type Engine struct {
 	// or after the current time) — this is how closed-loop workloads run.
 	OnRespond func(rec OpRecord)
 
+	// OnStep, if non-nil, is called as each event is consumed, before its
+	// handler runs: kind is the event's step kind, sent the send time of a
+	// delivery (zero otherwise), and crashed reports an event consumed
+	// silently at a crashed process, whose handler never runs. Canceled
+	// timers are skipped without a call.
+	OnStep func(kind StepKind, p ProcID, sent simtime.Time, crashed bool)
+
 	// MaxSteps bounds the number of processed events as a runaway guard.
 	MaxSteps int
 }
@@ -254,7 +271,8 @@ func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, n
 // are preallocated to the previous run's sizes). The trace returned by
 // the previous run is NOT recycled — it remains valid after Reset, so
 // results that escaped to callers are never corrupted by engine reuse.
-// OnRespond is cleared; MaxSteps and the trace level are retained.
+// OnRespond and OnStep are cleared; MaxSteps and the trace level are
+// retained.
 func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -285,6 +303,7 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	clear(e.canceled)
 	clear(e.pending)
 	clear(e.opIndex)
+	clear(e.live)
 	e.crashes = e.crashes[:0]
 	clear(e.drops)
 	// Preallocate the fresh trace to the previous run's high-water sizes:
@@ -303,7 +322,9 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	}
 	e.started = false
 	e.stepSig = fnvOffset
+	e.firing = -1
 	e.OnRespond = nil
+	e.OnStep = nil
 	e.metrics = nil
 	e.tracer = nil
 	e.tracing = false
@@ -364,6 +385,30 @@ func (e *Engine) StepSignature() uint64 { return e.stepSig }
 // (including canceled timers that have not yet been skipped).
 func (e *Engine) QueueLen() int { return e.queue.len() }
 
+// NextTime returns the time of the earliest scheduled event, or
+// simtime.Infinity when nothing is scheduled. The event may be a canceled
+// timer that will be skipped; a driver pacing RunUntil against a clock
+// only wakes early for it.
+func (e *Engine) NextTime() simtime.Time {
+	if e.queue.len() == 0 {
+		return simtime.Infinity
+	}
+	return e.queue.peek().time
+}
+
+// Timers returns the number of scheduled timers still due to fire: not
+// canceled and not at a process crashed by their fire time.
+func (e *Engine) Timers() int {
+	n := 0
+	for i := range e.queue.items {
+		ev := &e.queue.items[i]
+		if ev.kind == evTimer && !e.canceled[ev.timerID] && !e.crashedAt(ev.proc, ev.time) {
+			n++
+		}
+	}
+	return n
+}
+
 // push schedules an event.
 func (e *Engine) push(ev event) {
 	ev.seq = e.seq
@@ -377,12 +422,19 @@ func (e *Engine) push(ev event) {
 // InvokeAt schedules an operation invocation at process p at the given
 // real time (which must not be in the past) and returns its SeqID.
 func (e *Engine) InvokeAt(p ProcID, at simtime.Time, op string, arg any) int64 {
+	return e.InvokeWithParent(p, at, op, arg, -1)
+}
+
+// InvokeWithParent is InvokeAt for an operation with a causal parent
+// span (a client-side span carried over the wire), which an installed
+// tracer records as the operation's parent edge; -1 is a local root.
+func (e *Engine) InvokeWithParent(p ProcID, at simtime.Time, op string, arg any, parent int64) int64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: invocation at %v is in the past (now %v)", at, e.now))
 	}
 	seqID := e.opSeq
 	e.opSeq++
-	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}})
+	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}, span: parent})
 	return seqID
 }
 
@@ -412,7 +464,15 @@ func (e *Engine) spanFor(p ProcID) int64 {
 	return e.tracer.CurrentSpan(int32(p))
 }
 
-func (e *Engine) cancelTimer(id TimerID) { e.canceled[id] = true }
+// cancelTimer marks a scheduled timer so it is skipped when popped. The
+// timer whose handler is running has already fired: canceling it (core's
+// drain cancels the execute timer that triggered it) records nothing, so
+// a long-running engine does not accumulate dead canceled entries.
+func (e *Engine) cancelTimer(id TimerID) {
+	if id != e.firing {
+		e.canceled[id] = true
+	}
+}
 
 // send schedules message delivery per the network's delay. A send whose
 // ordinal is in the fault plan's drop set is recorded (Dropped, never
@@ -470,14 +530,23 @@ func (e *Engine) respond(p ProcID, seqID int64, ret any) {
 		panic(fmt.Sprintf("sim: p%d responded to op %d which is not pending", p, seqID))
 	}
 	delete(e.pending, p)
-	idx := e.opIndex[seqID]
-	e.trace.Ops[idx].Ret = ret
-	e.trace.Ops[idx].RespondTime = e.now
+	var rec *OpRecord
+	if e.level == TraceNone {
+		rec = &e.live[p]
+	} else {
+		rec = &e.trace.Ops[e.opIndex[seqID]]
+	}
+	rec.Ret = ret
+	rec.RespondTime = e.now
+	done := *rec
+	if e.level == TraceNone {
+		*rec = OpRecord{}
+	}
 	if e.tracing {
 		e.tracer.OpEnd(int32(p), seqID, int64(e.now))
 	}
 	if e.OnRespond != nil {
-		e.OnRespond(e.trace.Ops[idx])
+		e.OnRespond(done)
 	}
 }
 
@@ -507,8 +576,16 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 			// vanish — in particular a suppressed invocation leaves NO
 			// OpRecord, because an operation the process never started
 			// must not be linearizable as pending.
-			if ev.kind == evDeliver && ev.msgIndex >= 0 {
-				e.trace.Msgs[ev.msgIndex].Dropped = true
+			if ev.kind == evDeliver {
+				if ev.msgIndex >= 0 {
+					e.trace.Msgs[ev.msgIndex].Dropped = true
+				}
+				if e.tracing {
+					e.tracer.Event(ev.span, obs.StageDropped, int32(ev.proc), int64(ev.time))
+				}
+			}
+			if e.OnStep != nil {
+				e.OnStep(StepKind(ev.kind), ev.proc, ev.sent, true)
 			}
 			continue
 		}
@@ -525,6 +602,9 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 		if e.metrics != nil {
 			e.metrics.Events.Inc()
 		}
+		if e.OnStep != nil {
+			e.OnStep(StepKind(ev.kind), ev.proc, ev.sent, false)
+		}
 		ctx := &e.ctxs[ev.proc]
 		switch ev.kind {
 		case evInvoke:
@@ -533,21 +613,29 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 					ev.proc, ev.inv.SeqID, prev))
 			}
 			e.pending[ev.proc] = ev.inv.SeqID
-			e.opIndex[ev.inv.SeqID] = len(e.trace.Ops)
-			e.trace.Ops = append(e.trace.Ops, OpRecord{
+			rec := OpRecord{
 				Proc:        ev.proc,
 				SeqID:       ev.inv.SeqID,
 				Op:          ev.inv.Op,
 				Arg:         ev.inv.Arg,
 				InvokeTime:  e.now,
 				RespondTime: simtime.Infinity,
-			})
+			}
+			if e.level == TraceNone {
+				if len(e.live) != len(e.nodes) {
+					e.live = make([]OpRecord, len(e.nodes))
+				}
+				e.live[ev.proc] = rec
+			} else {
+				e.opIndex[ev.inv.SeqID] = len(e.trace.Ops)
+				e.trace.Ops = append(e.trace.Ops, rec)
+			}
 			if e.level == TraceFull {
 				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepInvoke})
 			}
 			if e.tracing {
 				e.handling = ev.inv.SeqID
-				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, -1, ev.inv.Op, int64(e.now))
+				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(e.now))
 			}
 			e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
 		case evDeliver:
@@ -567,7 +655,9 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 				e.handling = ev.span
 				e.tracer.Event(ev.span, obs.StageTimer, int32(ev.proc), int64(e.now))
 			}
+			e.firing = ev.timerID
 			e.nodes[ev.proc].OnTimer(ctx, ev.tag)
+			e.firing = -1
 		}
 		e.handling = -1
 	}

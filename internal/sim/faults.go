@@ -75,6 +75,27 @@ func (e *Engine) SetFaults(f FaultPlan) error {
 	return nil
 }
 
+// CrashAt crash-stops process p at real time t, which must not be in the
+// past: from t on p takes no step, exactly as under a FaultPlan crash. It
+// may be called while a run is in progress, which is how a wall-clock
+// driver injects a crash the moment it is asked to. An earlier crash time
+// already set for p stands. CrashAt does not count toward
+// crashes_injected; the caller that decided on the crash counts it.
+func (e *Engine) CrashAt(p ProcID, t simtime.Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: crash of p%d at %v is in the past (now %v)", p, t, e.now))
+	}
+	if len(e.crashes) == 0 {
+		for range e.params.N {
+			e.crashes = append(e.crashes, simtime.Infinity)
+		}
+	}
+	if t < e.crashes[p] {
+		e.crashes[p] = t
+	}
+	e.trace.Crashes = append([]simtime.Time(nil), e.crashes...)
+}
+
 // crashedAt reports whether process p has crashed by real time t under
 // the installed fault plan.
 func (e *Engine) crashedAt(p ProcID, t simtime.Time) bool {

@@ -51,10 +51,9 @@ type Node interface {
 }
 
 // Context gives a node access to its environment during one event. It is
-// only valid for the duration of the handler call. The virtual-time
-// engine in this package and the real-time goroutine transport in
-// internal/rtnet both implement it, so the same Node runs on either
-// substrate.
+// only valid for the duration of the handler call. The engine in this
+// package implements it; internal/rtnet runs that same engine against the
+// wall clock, so the same Node runs in virtual or real time.
 type Context interface {
 	// ID returns the process id of this node.
 	ID() ProcID
