@@ -22,21 +22,26 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-engine reruns the engine-heavy benchmarks (event loop, timer
-# churn, fuzz campaigns sequential and across GOMAXPROCS workers, table
+# churn, fuzz campaigns sequential and across GOMAXPROCS=2 workers, table
 # pipeline) and folds them into the
 # "after" side of BENCH_engine.json; the checked-in "before" side is the
 # pre-optimization baseline (pointer-heap engine, no reuse), so the
-# delta_pct section always reads against that fixed reference.
+# delta_pct section always reads against that fixed reference. Each merge
+# also records the numbers as the bench-guard baseline of the running
+# toolchain.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchmem ./internal/sim/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
-	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkFuzzCampaignWorkers|BenchmarkRunnerRun' -benchmem ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaign|BenchmarkFuzzCampaignWorkers|BenchmarkRunnerRun' -benchmem -cpu 2 ./internal/adversary/ | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkAllTables/parallel=4' -benchmem . | $(GO) run ./cmd/benchjson -set after -o BENCH_engine.json
 
 # bench-compare is the determinism smoke for the zero-allocation engine:
 # a short run of the engine benchmarks and of the multi-worker fuzz
 # campaign (they must still pass, the campaign with no violation), then tables
 # and fuzz outputs re-generated at different parallelism levels and
-# compared byte for byte.
+# compared byte for byte. The fuzz comparisons cover every consumer of
+# the pooled per-candidate generators: the default campaign, the mutant
+# kill matrix, and the quorum backend, whose crash and drop axes draw
+# from the same streams.
 bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkEngineEvents|BenchmarkTimerChurn' -benchtime 10x -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaignWorkers' -benchtime 5x -benchmem ./internal/adversary/
@@ -47,20 +52,38 @@ bench-compare:
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 1 > /tmp/bench-compare-fuzz-p1.txt
 	/tmp/lintime-bench-compare fuzz -budget 500 -seed 1 -parallel 8 > /tmp/bench-compare-fuzz-p8.txt
 	cmp /tmp/bench-compare-fuzz-p1.txt /tmp/bench-compare-fuzz-p8.txt
+	/tmp/lintime-bench-compare fuzz -mutant all -budget 200 -seed 1 -parallel 1 > /tmp/bench-compare-mutants-p1.txt
+	/tmp/lintime-bench-compare fuzz -mutant all -budget 200 -seed 1 -parallel 8 > /tmp/bench-compare-mutants-p8.txt
+	cmp /tmp/bench-compare-mutants-p1.txt /tmp/bench-compare-mutants-p8.txt
+	/tmp/lintime-bench-compare fuzz -backend quorum -budget 200 -seed 1 -parallel 1 > /tmp/bench-compare-quorum-p1.txt
+	/tmp/lintime-bench-compare fuzz -backend quorum -budget 200 -seed 1 -parallel 8 > /tmp/bench-compare-quorum-p8.txt
+	cmp /tmp/bench-compare-quorum-p1.txt /tmp/bench-compare-quorum-p8.txt
 	@echo "bench-compare: outputs byte-identical across parallelism levels"
 
 # bench-guard asserts the instrumented-but-disabled engine stays on the
 # zero-overhead budget recorded in BENCH_engine.json: ns/op within 5% of
-# the ledger's after side, and allocs/op not increasing at all. The wire
-# round-trip line pins the tracing-off codec floor the same way — an
-# untraced binary request must stay byte-identical and allocation-flat
-# (2 allocs/op) no matter how much the tracing subsystem grows; the
-# looser -pct absorbs sub-200ns wall jitter on shared CI runners.
+# the ledger's baseline for the running toolchain (Go release and
+# GOARCH), and allocs/op not increasing at all. Allocation counts differ
+# across Go releases (EngineEvents: 58 on Go 1.22, 60 on Go 1.24), so
+# each toolchain is judged only against its own baseline, recorded by
+# bench-engine and wire-bench; a toolchain with none reports "no
+# comparable baseline" and passes. The wire round-trip line pins the
+# tracing-off codec floor the same way — an untraced binary request must
+# stay byte-identical and allocation-flat (2 allocs/op) no matter how
+# much the tracing subsystem grows; the looser -pct absorbs sub-200ns
+# wall jitter on shared CI runners. The fuzz-campaign line guards
+# allocs/op only: its wall time swings by tens of percent on shared
+# hosts, and its engine pool makes the count vary by a few allocations
+# in 23k from run to run, which the 0.1% slack absorbs (one extra
+# allocation per schedule is 0.5%). It runs at -cpu 2, as bench-engine
+# records it, because the campaign's worker count follows GOMAXPROCS.
 bench-guard:
 	$(GO) test -run xxx -bench BenchmarkEngineEvents -benchmem -benchtime 2s ./internal/sim/ | \
 		$(GO) run ./cmd/benchjson -guard -pct 5 -o BENCH_engine.json
 	$(GO) test -run xxx -bench 'BenchmarkWireBinary' -benchmem -benchtime 2s ./internal/serve/ | \
 		$(GO) run ./cmd/benchjson -guard -pct 25 -o BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkFuzzCampaignWorkers' -benchmem -benchtime 30x -cpu 2 ./internal/adversary/ | \
+		$(GO) run ./cmd/benchjson -guard -ns=false -slack 0.1 -o BENCH_engine.json
 
 # stat-smoke boots a live load run with the observability endpoint on,
 # reads it back with `lintime stat -once -require-slo` (nonzero exit on
@@ -183,7 +206,7 @@ wire-smoke:
 # matrix, the fuzzing kill matrix with fault axes, and a live quorum load
 # run that crashes a minority mid-run and must still meet the 4d SLO.
 crash-smoke:
-	$(GO) test -race -count=1 -run 'TestCrash|TestServerQuorum|TestServerAllCrashed|TestRunLoadQuorumCrashMidRun' ./internal/rtnet/ ./internal/serve/ -v
+	$(GO) test -race -count=1 -run 'TestCrash|TestServerQuorum|TestServerAllCrashed|TestServerQueuedCallsFailWhenAllCrashed|TestRunLoadQuorumCrashMidRun' ./internal/rtnet/ ./internal/serve/ -v
 	$(GO) test -count=1 -run 'FuzzQuorum|TestGoldenVerifyQuorum|TestGoldenFuzzQuorumKillMatrix|TestGoldenLoadSimQuorum' ./internal/adversary/ ./cmd/lintime/
 	$(GO) run ./cmd/lintime verify -backend quorum -d 8 -u 6 -ops 2
 	$(GO) run ./cmd/lintime verify -backend quorum -d 8 -u 6 -ops 2 -mutant all

@@ -18,11 +18,17 @@
 //
 //	go test -bench . -benchmem ./internal/sim/ | benchjson -guard -o BENCH_engine.json
 //
-// compares stdin results against the ledger's after side instead of
-// merging: the run fails if any benchmark's ns/op exceeds the recorded
-// value by more than -pct percent, or any -exact metric (default
-// allocs/op) increases at all — the CI guard keeping instrumentation off
-// the hot path.
+// compares stdin results against the ledger's baseline for the running
+// toolchain instead of merging: the run fails if any benchmark's ns/op
+// exceeds the recorded value by more than -pct percent (unless -ns=false),
+// or any -exact metric (default allocs/op) increases by more than -slack
+// percent (default 0: not at all) — the CI guard keeping instrumentation
+// off the hot path. Every -set after merge of benchmark lines also
+// records them as the baseline of its toolchain stamp, Go release and
+// GOARCH (say go1.24/amd64): allocation counts and timings differ across
+// Go releases, so a guard run compares only against numbers taken with
+// its own toolchain and, when the ledger has none, reports "no comparable
+// baseline" and passes.
 //
 //	benchjson -snapshots load.jsonl -set after -o BENCH_serve_obs.json
 //
@@ -52,6 +58,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,6 +74,57 @@ type Ledger struct {
 	Before map[string]map[string]float64 `json:"before"`
 	After  map[string]map[string]float64 `json:"after"`
 	Delta  map[string]map[string]float64 `json:"delta_pct"`
+	// Baselines holds, per toolchain stamp, the benchmark numbers last
+	// merged into the after side with that toolchain: the guard's
+	// references.
+	Baselines map[string]map[string]map[string]float64 `json:"baselines,omitempty"`
+}
+
+// toolchainStamp names the toolchain a benchmark ran under: the Go
+// release without its patch number, and the GOARCH. benchjson runs
+// through `go run` with the same go command as the benchmarks it reads,
+// so its own runtime.Version is theirs; goarch is the benchmark output's
+// "goarch:" header when there is one.
+func toolchainStamp(version, goarch string) string {
+	if parts := strings.SplitN(version, ".", 3); len(parts) == 3 && strings.HasPrefix(version, "go") {
+		version = parts[0] + "." + parts[1]
+	}
+	return version + "/" + goarch
+}
+
+// benchInput is the benchmark lines of one `go test -bench` output and
+// the GOARCH its header names (empty when it has none).
+type benchInput struct {
+	results []benchResult
+	goarch  string
+}
+
+type benchResult struct {
+	name    string
+	metrics map[string]float64
+}
+
+func readBench(r io.Reader) (benchInput, error) {
+	var in benchInput
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		if arch, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "goarch: "); ok {
+			in.goarch = arch
+			continue
+		}
+		if name, metrics, ok := parse(sc.Text()); ok {
+			in.results = append(in.results, benchResult{name, metrics})
+		}
+	}
+	return in, sc.Err()
+}
+
+func (in benchInput) stamp() string {
+	arch := in.goarch
+	if arch == "" {
+		arch = runtime.GOARCH
+	}
+	return toolchainStamp(runtime.Version(), arch)
 }
 
 // benchLine matches one result line of `go test -bench`:
@@ -135,6 +193,46 @@ func (l *Ledger) recompute() {
 	}
 }
 
+// side returns the named side of the ledger, creating it if needed.
+func (l *Ledger) side(set string) map[string]map[string]float64 {
+	p := &l.Before
+	if set == "after" {
+		p = &l.After
+	}
+	if *p == nil {
+		*p = map[string]map[string]float64{}
+	}
+	return *p
+}
+
+// merge folds benchmark results into the named side; results merged
+// into the after side also become their toolchain's guard baseline.
+func (l *Ledger) merge(set string, in benchInput) int {
+	mergeResults(l.side(set), in.results)
+	if set == "after" {
+		if l.Baselines == nil {
+			l.Baselines = map[string]map[string]map[string]float64{}
+		}
+		stamp := in.stamp()
+		if l.Baselines[stamp] == nil {
+			l.Baselines[stamp] = map[string]map[string]float64{}
+		}
+		mergeResults(l.Baselines[stamp], in.results)
+	}
+	return len(in.results)
+}
+
+func mergeResults(side map[string]map[string]float64, results []benchResult) {
+	for _, res := range results {
+		if side[res.name] == nil {
+			side[res.name] = map[string]float64{}
+		}
+		for k, v := range res.metrics {
+			side[res.name][k] = v
+		}
+	}
+}
+
 func sign(x float64) float64 {
 	if x < 0 {
 		return -1
@@ -142,57 +240,63 @@ func sign(x float64) float64 {
 	return 1
 }
 
-// guardStdin compares stdin benchmark lines against the ledger's after
-// side: ns/op may not regress by more than pct percent, and the exact
-// metrics may not increase at all. Returns the number of violations.
-func guardStdin(led *Ledger, pct float64, exact map[string]bool) int {
+// guardOptions selects what guard checks: ns/op within pct percent when
+// ns is set, and the exact metrics within slack percent.
+type guardOptions struct {
+	pct   float64
+	ns    bool
+	exact map[string]bool
+	slack float64
+}
+
+// guard compares benchmark results against the ledger's baseline for
+// their toolchain stamp and returns the number of violations. With no
+// baseline for the stamp, or none for any benchmark read, it reports that
+// nothing was comparable and finds no violation.
+func guard(w io.Writer, led *Ledger, in benchInput, opt guardOptions) int {
+	stamp := in.stamp()
+	baseline := led.Baselines[stamp]
 	violations, checked := 0, 0
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		name, metrics, ok := parse(sc.Text())
+	for _, res := range in.results {
+		name, metrics := res.name, res.metrics
+		base, ok := baseline[name]
 		if !ok {
-			continue
-		}
-		base, ok := led.After[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: guard: %s not in ledger, skipping\n", name)
+			fmt.Fprintf(w, "benchjson: guard: %s has no %s baseline, skipping\n", name, stamp)
 			continue
 		}
 		checked++
-		for metric, have := range metrics {
+		for _, metric := range sortedKeys(metrics) {
+			have := metrics[metric]
 			want, ok := base[metric]
 			if !ok {
 				continue
 			}
 			switch {
-			case exact[metric]:
-				if have > want {
-					fmt.Fprintf(os.Stderr, "benchjson: guard FAIL %s %s: %v > %v (must not increase)\n",
-						name, metric, have, want)
-					violations++
-				} else {
-					fmt.Fprintf(os.Stderr, "benchjson: guard ok   %s %s: %v <= %v\n", name, metric, have, want)
-				}
-			case metric == "ns/op":
-				limit := want * (1 + pct/100)
+			case opt.exact[metric]:
+				limit := want * (1 + opt.slack/100)
 				if have > limit {
-					fmt.Fprintf(os.Stderr, "benchjson: guard FAIL %s ns/op: %.0f > %.0f (ledger %.0f +%.0f%%)\n",
-						name, have, limit, want, pct)
+					fmt.Fprintf(w, "benchjson: guard FAIL %s %s: %v > %v (%s ledger %v +%g%%)\n",
+						name, metric, have, limit, stamp, want, opt.slack)
 					violations++
 				} else {
-					fmt.Fprintf(os.Stderr, "benchjson: guard ok   %s ns/op: %.0f <= %.0f (ledger %.0f +%.0f%%)\n",
-						name, have, limit, want, pct)
+					fmt.Fprintf(w, "benchjson: guard ok   %s %s: %v <= %v (%s ledger %v +%g%%)\n",
+						name, metric, have, limit, stamp, want, opt.slack)
+				}
+			case metric == "ns/op" && opt.ns:
+				limit := want * (1 + opt.pct/100)
+				if have > limit {
+					fmt.Fprintf(w, "benchjson: guard FAIL %s ns/op: %.0f > %.0f (%s ledger %.0f +%.0f%%)\n",
+						name, have, limit, stamp, want, opt.pct)
+					violations++
+				} else {
+					fmt.Fprintf(w, "benchjson: guard ok   %s ns/op: %.0f <= %.0f (%s ledger %.0f +%.0f%%)\n",
+						name, have, limit, stamp, want, opt.pct)
 				}
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	if checked == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: guard: no benchmark lines matched the ledger")
-		os.Exit(1)
+		fmt.Fprintf(w, "benchjson: guard: no comparable baseline for %s; nothing checked\n", stamp)
 	}
 	return violations
 }
@@ -340,9 +444,11 @@ func lastSnapshot(path string) (obs.Snapshot, error) {
 func main() {
 	set := flag.String("set", "after", `ledger side to merge into ("before" or "after")`)
 	out := flag.String("o", "BENCH_engine.json", "ledger file to update")
-	guard := flag.Bool("guard", false, "compare stdin results against the ledger's after side instead of merging; nonzero exit on regression")
+	guardMode := flag.Bool("guard", false, "compare stdin results against the ledger's baseline for this toolchain instead of merging; nonzero exit on regression")
 	pct := flag.Float64("pct", 5, "allowed ns/op regression percentage under -guard")
-	exactFlag := flag.String("exact", "allocs/op", "comma-separated metrics that must not increase at all under -guard")
+	ns := flag.Bool("ns", true, "guard ns/op under -guard (off for benchmarks whose wall time the host's noise swamps)")
+	exactFlag := flag.String("exact", "allocs/op", "comma-separated metrics that must not increase under -guard")
+	slack := flag.Float64("slack", 0, "percentage by which an -exact metric may exceed its baseline under -guard")
 	snapshots := flag.String("snapshots", "", "fold the final snapshot of this obs JSONL file into the ledger instead of reading stdin")
 	serveFile := flag.String("serve", "", "validate these load summaries (comma-separated BENCH_serve.json files): fail unless every class report, aggregate and per-shard, is within its latency budget; multiple files also print a side-by-side diff")
 	minOps := flag.Float64("min-ops", 0, "ops_per_sec floor each -serve summary must clear (0 = no floor)")
@@ -390,62 +496,49 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *guard {
-		exact := map[string]bool{}
+	if *guardMode {
+		opt := guardOptions{pct: *pct, ns: *ns, exact: map[string]bool{}, slack: *slack}
 		for _, m := range strings.Split(*exactFlag, ",") {
 			if m = strings.TrimSpace(m); m != "" {
-				exact[m] = true
+				opt.exact[m] = true
 			}
 		}
-		if v := guardStdin(led, *pct, exact); v > 0 {
+		in, err := readBench(os.Stdin)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if len(in.results) == 0 {
+			fmt.Fprintln(os.Stderr, "benchjson: guard: no benchmark lines on stdin")
+			os.Exit(1)
+		}
+		if v := guard(os.Stderr, led, in, opt); v > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: guard: %d violation(s) against %s\n", v, *out)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: guard passed against %s\n", *out)
 		return
 	}
-	side := &led.Before
-	if *set == "after" {
-		side = &led.After
-	}
-	if *side == nil {
-		*side = map[string]map[string]float64{}
-	}
-	n := 0
+	var n int
 	if *snapshots != "" {
 		snap, err := lastSnapshot(*snapshots)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		var results []benchResult
 		for name, metrics := range snap.Flatten() {
-			if (*side)[name] == nil {
-				(*side)[name] = map[string]float64{}
-			}
-			for k, v := range metrics {
-				(*side)[name][k] = v
-			}
-			n++
+			results = append(results, benchResult{name, metrics})
 		}
+		mergeResults(led.side(*set), results)
+		n = len(results)
 	} else {
-		sc := bufio.NewScanner(os.Stdin)
-		for sc.Scan() {
-			name, metrics, ok := parse(sc.Text())
-			if !ok {
-				continue
-			}
-			if (*side)[name] == nil {
-				(*side)[name] = map[string]float64{}
-			}
-			for k, v := range metrics {
-				(*side)[name][k] = v
-			}
-			n++
-		}
-		if err := sc.Err(); err != nil {
+		in, err := readBench(os.Stdin)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		n = led.merge(*set, in)
 	}
 	if n == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,5 +160,105 @@ func TestServeDiff(t *testing.T) {
 	serveDiff(&sb, []string{"a.json", "b.json"}, []*serve.Summary{a, b})
 	if !strings.Contains(sb.String(), "a.json") || !strings.Contains(sb.String(), "b.json") {
 		t.Fatalf("duplicate codecs did not fall back to file labels:\n%s", sb.String())
+	}
+}
+
+func TestToolchainStamp(t *testing.T) {
+	for _, c := range []struct{ version, arch, want string }{
+		{"go1.22.5", "amd64", "go1.22/amd64"},
+		{"go1.24.0", "arm64", "go1.24/arm64"},
+		{"go1.24", "amd64", "go1.24/amd64"},
+		{"devel go1.25-abcdef", "amd64", "devel go1.25-abcdef/amd64"},
+	} {
+		if got := toolchainStamp(c.version, c.arch); got != c.want {
+			t.Errorf("toolchainStamp(%q, %q) = %q, want %q", c.version, c.arch, got, c.want)
+		}
+	}
+}
+
+// benchOutput is `go test -bench` output for one benchmark on arch.
+func benchOutput(t *testing.T, arch, line string) benchInput {
+	t.Helper()
+	in, err := readBench(strings.NewReader("goos: linux\ngoarch: " + arch + "\npkg: lintime/internal/sim\n" + line + "\nPASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestMergeRecordsToolchainBaseline checks that an after-side merge also
+// becomes the baseline of the toolchain that produced it, and that a
+// before-side merge does not.
+func TestMergeRecordsToolchainBaseline(t *testing.T) {
+	led := &Ledger{}
+	in := benchOutput(t, "arm64", "BenchmarkEngineEvents-8   532   1000 ns/op   60 allocs/op")
+	if n := led.merge("after", in); n != 1 {
+		t.Fatalf("merged %d results, want 1", n)
+	}
+	stamp := toolchainStamp(runtime.Version(), "arm64")
+	if got := led.Baselines[stamp]["EngineEvents"]["allocs/op"]; got != 60 {
+		t.Errorf("baseline %s allocs/op = %v, want 60 (baselines %v)", stamp, got, led.Baselines)
+	}
+	if got := led.After["EngineEvents"]["ns/op"]; got != 1000 {
+		t.Errorf("after ns/op = %v, want 1000", got)
+	}
+	led.merge("before", benchOutput(t, "arm64", "BenchmarkEngineEvents-8   532   2000 ns/op   70 allocs/op"))
+	if got := led.Baselines[stamp]["EngineEvents"]["allocs/op"]; got != 60 {
+		t.Errorf("before-side merge changed the baseline to %v", got)
+	}
+}
+
+// TestGuardComparesOnlyMatchingToolchain pins the toolchain-keyed guard:
+// a run is judged against its own toolchain's baseline, and a run with
+// none is not judged against another toolchain's numbers.
+func TestGuardComparesOnlyMatchingToolchain(t *testing.T) {
+	here := toolchainStamp(runtime.Version(), "amd64")
+	led := &Ledger{Baselines: map[string]map[string]map[string]float64{
+		here:           {"EngineEvents": {"ns/op": 1000, "allocs/op": 60}},
+		"go1.0/amd64":  {"EngineEvents": {"ns/op": 1000, "allocs/op": 58}},
+		"go1.0/arm64":  {"EngineEvents": {"ns/op": 1, "allocs/op": 1}},
+		"go1.0/riscv6": {"EngineEvents": {"ns/op": 1, "allocs/op": 1}},
+	}}
+	opt := guardOptions{pct: 5, ns: true, exact: map[string]bool{"allocs/op": true}}
+	run := func(arch, line string) (int, string) {
+		var out strings.Builder
+		v := guard(&out, led, benchOutput(t, arch, line), opt)
+		return v, out.String()
+	}
+	if v, out := run("amd64", "BenchmarkEngineEvents-8   532   1040 ns/op   60 allocs/op"); v != 0 {
+		t.Errorf("run matching its baseline: %d violations\n%s", v, out)
+	}
+	if v, out := run("amd64", "BenchmarkEngineEvents-8   532   1000 ns/op   61 allocs/op"); v != 1 || !strings.Contains(out, "FAIL EngineEvents allocs/op") {
+		t.Errorf("allocs/op increase: %d violations, want 1\n%s", v, out)
+	}
+	if v, out := run("amd64", "BenchmarkEngineEvents-8   532   1100 ns/op   60 allocs/op"); v != 1 || !strings.Contains(out, "FAIL EngineEvents ns/op") {
+		t.Errorf("ns/op +10%%: %d violations, want 1\n%s", v, out)
+	}
+	v, out := run("s390x", "BenchmarkEngineEvents-8   532   9999 ns/op   99 allocs/op")
+	if v != 0 || !strings.Contains(out, "no comparable baseline") {
+		t.Errorf("run without a baseline for its toolchain: %d violations, want 0 and a note\n%s", v, out)
+	}
+	if v, out := run("amd64", "BenchmarkOther-8   532   9999 ns/op   99 allocs/op"); v != 0 || !strings.Contains(out, "no comparable baseline") {
+		t.Errorf("benchmark missing from the baseline: %d violations, want 0 and a note\n%s", v, out)
+	}
+}
+
+// TestGuardSlackAndNs checks the per-line knobs: -slack lets an exact
+// metric exceed its baseline by at most the given percentage, and
+// -ns=false leaves wall time unjudged.
+func TestGuardSlackAndNs(t *testing.T) {
+	here := toolchainStamp(runtime.Version(), "amd64")
+	led := &Ledger{Baselines: map[string]map[string]map[string]float64{
+		here: {"FuzzCampaignWorkers": {"ns/op": 1000, "allocs/op": 23000}},
+	}}
+	opt := guardOptions{pct: 5, ns: false, exact: map[string]bool{"allocs/op": true}, slack: 0.1}
+	for _, c := range []struct {
+		allocs string
+		want   int
+	}{{"23010", 0}, {"23022", 0}, {"23024", 1}} {
+		in := benchOutput(t, "amd64", "BenchmarkFuzzCampaignWorkers-2   30   9000 ns/op   "+c.allocs+" allocs/op")
+		if v := guard(io.Discard, led, in, opt); v != c.want {
+			t.Errorf("allocs/op %s with 0.1%% slack: %d violations, want %d", c.allocs, v, c.want)
+		}
 	}
 }

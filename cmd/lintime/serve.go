@@ -123,7 +123,7 @@ func cmdServe(args []string) error {
 	tick := fs.Duration("tick", time.Millisecond, "wall-clock duration of one virtual tick")
 	offsets := fs.String("offsets", harness.OffZero, "clock offsets (zero, spread, alternating, random)")
 	seed := fs.Int64("seed", 1, "master seed (delay draws, offset assignment)")
-	queueDepth := fs.Int("queue-depth", 64, "per-replica request queue bound (backpressure)")
+	queueDepth := fs.Int("queue-depth", 64, "requests queued per replica before Call blocks (backpressure; the server queues n times this)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight operations")
 	shards := fs.Int("shards", 1, "shard count: >1 serves named objects hash-routed across independent clusters")
 	shardX := fs.String("shard-x", "", "per-shard X overrides, comma-separated ticks (requires -shards entries)")

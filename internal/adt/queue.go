@@ -38,13 +38,18 @@ func (q *Queue) Ops() []spec.OpInfo {
 }
 
 // Initial implements spec.DataType.
-func (q *Queue) Initial() spec.State { return queueState{} }
+func (q *Queue) Initial() spec.State { return emptyQueue }
 
+// queueState is immutable, so states are shared by pointer: an operation
+// that leaves the queue unchanged returns its receiver without boxing a
+// copy into a new interface value.
 type queueState struct {
 	items []int // head at index 0; never mutated in place
 }
 
-func (s queueState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
+var emptyQueue = &queueState{}
+
+func (s *queueState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	switch op {
 	case OpEnqueue:
 		v, ok := arg.(int)
@@ -54,12 +59,12 @@ func (s queueState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 		next := make([]int, len(s.items)+1)
 		copy(next, s.items)
 		next[len(s.items)] = v
-		return nil, queueState{items: next}
+		return nil, &queueState{items: next}
 	case OpDequeue:
 		if len(s.items) == 0 {
 			return EmptyMarker, s
 		}
-		return s.items[0], queueState{items: s.items[1:]}
+		return s.items[0], &queueState{items: s.items[1:]}
 	case OpPeek:
 		if len(s.items) == 0 {
 			return EmptyMarker, s
@@ -70,4 +75,4 @@ func (s queueState) Apply(op string, arg spec.Value) (spec.Value, spec.State) {
 	}
 }
 
-func (s queueState) Fingerprint() string { return intsFingerprint("queue:", s.items) }
+func (s *queueState) Fingerprint() string { return intsFingerprint("queue:", s.items) }

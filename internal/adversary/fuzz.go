@@ -2,8 +2,8 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lintime/internal/harness"
@@ -170,9 +170,10 @@ func Fuzz(opts Options) (*Report, error) {
 					cand := randomCandidate(p, ops, opts.Seed, "coverage-seed", ordinal, faults)
 					sched = cand.sched
 				} else {
-					rng := rand.New(rand.NewSource(harness.DeriveSeed(opts.Seed, fmt.Sprintf("adversary/coverage/%d", ordinal))))
+					rng := harness.AcquireRand(harness.DeriveSeed(opts.Seed, "adversary/coverage/"+strconv.Itoa(ordinal)))
 					parent := poolSnap[rng.Intn(len(poolSnap))]
 					sched = mutateSchedule(parent, p, ops, rng, faults)
+					harness.ReleaseRand(rng)
 				}
 				out, err = runner.Run(sched)
 			case StratFaultCorner:

@@ -488,8 +488,11 @@ func (r *Runner) runWith(s Schedule, net sim.Network) (*Outcome, error) {
 		sig:        sig,
 		hasSig:     true,
 	}
-	for _, rep := range replicas {
-		out.Fingerprints = append(out.Fingerprints, rep.StateFingerprint())
+	if len(replicas) > 0 {
+		out.Fingerprints = make([]string, len(replicas))
+		for i, rep := range replicas {
+			out.Fingerprints[i] = rep.StateFingerprint()
+		}
 	}
 	return out, nil
 }

@@ -1,8 +1,8 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"lintime/internal/classify"
 	"lintime/internal/harness"
@@ -412,7 +412,7 @@ func (b *boundarySource) candidateAt(p simtime.Params, ops opset, seed int64, i 
 	if j >= product {
 		// Wrapped around: jitter the invocation times to visit nearby
 		// corners of the same pattern combination.
-		rng := rand.New(rand.NewSource(harness.DeriveSeed(seed, fmt.Sprintf("adversary/boundary/%d", i))))
+		rng := harness.AcquireRand(harness.DeriveSeed(seed, "adversary/boundary/"+strconv.Itoa(i)))
 		for proc := range cand.plans {
 			for oi := range cand.plans[proc] {
 				if gap := &cand.plans[proc][oi].Gap; *gap < 4*p.D { // leave probes alone
@@ -420,6 +420,7 @@ func (b *boundarySource) candidateAt(p simtime.Params, ops opset, seed int64, i 
 				}
 			}
 		}
+		harness.ReleaseRand(rng)
 	}
 	return cand
 }
@@ -583,7 +584,8 @@ func randomFaults(s *Schedule, p simtime.Params, rng *rand.Rand) {
 // delays biased toward the admissible extremes, short plans with gaps
 // clustered around the algorithm's critical constants.
 func randomCandidate(p simtime.Params, ops opset, seed int64, stream string, i int, faults bool) candidate {
-	rng := rand.New(rand.NewSource(harness.DeriveSeed(seed, fmt.Sprintf("adversary/%s/%d", stream, i))))
+	rng := harness.AcquireRand(harness.DeriveSeed(seed, "adversary/"+stream+"/"+strconv.Itoa(i)))
+	defer harness.ReleaseRand(rng)
 	offsets := make([]simtime.Duration, p.N)
 	for pi := range offsets {
 		switch rng.Intn(10) {

@@ -104,7 +104,7 @@ type executeTag struct {
 // sim.Node. All replicas of an object must be constructed with the same
 // data type, classification and timers.
 type Replica struct {
-	dt      spec.DataType
+	initial spec.State // dt.Initial(), built once: pure-mutator acks apply to it
 	classes map[string]classify.Class
 	timers  Timers
 
@@ -138,7 +138,8 @@ type Replica struct {
 // NewReplica builds one Algorithm 1 replica. Every process of the system
 // must get its own Replica instance constructed with identical arguments.
 func NewReplica(dt spec.DataType, classes map[string]classify.Class, timers Timers) *Replica {
-	return &Replica{dt: dt, classes: classes, timers: timers, state: dt.Initial()}
+	initial := dt.Initial()
+	return &Replica{initial: initial, classes: classes, timers: timers, state: initial}
 }
 
 // NewReplicas builds n identically configured replicas as sim.Nodes.
@@ -186,7 +187,7 @@ func (r *Replica) OnInvoke(ctx sim.Context, inv sim.Invocation) {
 			// Pure mutators respond after X+ε, independent of execution.
 			// Their response cannot depend on the state (they are not
 			// accessors), so it is computable from the initial state.
-			ack := spec.Response(r.dt.Initial(), inv.Op, inv.Arg)
+			ack := spec.Response(r.initial, inv.Op, inv.Arg)
 			ctx.SetTimer(r.timers.MOPRespond, mopRespondTag{seqID: inv.SeqID, ret: ack})
 		} else {
 			entry.respondSeq = inv.SeqID // OOP responds on execution

@@ -19,7 +19,8 @@
 package lincheck
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"lintime/internal/sim"
@@ -44,22 +45,19 @@ type Op struct {
 }
 
 // Pending reports whether the operation never responded.
-func (o Op) Pending() bool { return o.Respond == simtime.Infinity }
+func (o *Op) Pending() bool { return o.Respond == simtime.Infinity }
 
 // FromTrace extracts the checker's history from a simulation trace,
 // including pending invocations.
 func FromTrace(tr *sim.Trace) []Op {
-	ops := make([]Op, 0, len(tr.Ops))
-	for i, rec := range tr.Ops {
-		ops = append(ops, Op{
-			ID:      i,
-			Proc:    int(rec.Proc),
-			Name:    rec.Op,
-			Arg:     rec.Arg,
-			Ret:     rec.Ret,
-			Invoke:  rec.InvokeTime,
-			Respond: rec.RespondTime,
-		})
+	ops := make([]Op, len(tr.Ops))
+	for i := range tr.Ops {
+		// Field by field: a composite literal is built in a temporary and
+		// then copied whole into the slot.
+		rec, op := &tr.Ops[i], &ops[i]
+		op.ID, op.Proc, op.Name = i, int(rec.Proc), rec.Op
+		op.Arg, op.Ret = rec.Arg, rec.Ret
+		op.Invoke, op.Respond = rec.InvokeTime, rec.RespondTime
 	}
 	return ops
 }
@@ -73,22 +71,44 @@ type Result struct {
 	Explored int
 }
 
-// sortOps returns a copy of the history in deterministic exploration
-// order: by invocation time, ties by ID.
+// compareOps is the deterministic exploration order: by invocation time,
+// ties by ID.
+func compareOps(a, b Op) int {
+	if a.Invoke != b.Invoke {
+		return cmp.Compare(a.Invoke, b.Invoke)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// sortOps returns a copy of the history in exploration order.
 func sortOps(history []Op) []Op {
-	ops := append([]Op(nil), history...)
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Invoke != ops[j].Invoke {
-			return ops[i].Invoke < ops[j].Invoke
+	ops := slices.Clone(history)
+	slices.SortFunc(ops, compareOps)
+	return ops
+}
+
+// traceOps is FromTrace's history in exploration order, sorted in place:
+// the checker works on FromTrace's copy rather than copying it again.
+// FromTrace numbers ops in record order and an engine records invocations
+// in time order, so the sort is normally skipped.
+func traceOps(tr *sim.Trace) []Op {
+	ops := FromTrace(tr)
+	for i := 1; i < len(ops); i++ {
+		if ops[i].Invoke < ops[i-1].Invoke {
+			slices.SortFunc(ops, compareOps)
+			break
 		}
-		return ops[i].ID < ops[j].ID
-	})
+	}
 	return ops
 }
 
 // Check decides whether the history is linearizable with respect to dt.
 func Check(dt spec.DataType, history []Op) Result {
-	ops := sortOps(history)
+	return check(dt, sortOps(history))
+}
+
+// check is Check on a history already in exploration order.
+func check(dt spec.DataType, ops []Op) Result {
 	c := newChecker(dt, ops)
 	lin, ok := c.search(dt.Initial(), completedLeftInit(ops))
 	if !ok {
@@ -99,7 +119,7 @@ func Check(dt spec.DataType, history []Op) Result {
 
 // CheckTrace is shorthand for Check(dt, FromTrace(tr)).
 func CheckTrace(dt spec.DataType, tr *sim.Trace) Result {
-	return Check(dt, FromTrace(tr))
+	return check(dt, traceOps(tr))
 }
 
 type checker struct {
@@ -257,8 +277,8 @@ func (c *checker) search(state spec.State, completedLeft int) ([]spec.Instance, 
 // completedLeftInit computes the initial count of completed ops.
 func completedLeftInit(ops []Op) int {
 	n := 0
-	for _, op := range ops {
-		if !op.Pending() {
+	for i := range ops {
+		if !ops[i].Pending() {
 			n++
 		}
 	}
@@ -273,10 +293,15 @@ func completedLeftInit(ops []Op) int {
 // to Check's verdict. With workers < 2 or trivially small histories it
 // falls back to the sequential search.
 func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
-	ops := sortOps(history)
+	return checkParallel(dt, sortOps(history), workers)
+}
+
+// checkParallel is CheckParallel on a history already in exploration
+// order.
+func checkParallel(dt spec.DataType, ops []Op, workers int) Result {
 	completedLeft := completedLeftInit(ops)
 	if workers < 2 || completedLeft == 0 || len(ops) < 2 {
-		return Check(dt, history)
+		return check(dt, ops)
 	}
 	// Enumerate the viable first steps exactly as the sequential search
 	// would at its root frame.
@@ -347,5 +372,5 @@ func CheckParallel(dt spec.DataType, history []Op, workers int) Result {
 
 // CheckTraceParallel is shorthand for CheckParallel(dt, FromTrace(tr), workers).
 func CheckTraceParallel(dt spec.DataType, tr *sim.Trace, workers int) Result {
-	return CheckParallel(dt, FromTrace(tr), workers)
+	return checkParallel(dt, traceOps(tr), workers)
 }

@@ -286,10 +286,10 @@ func TestConcurrentBatchPerformance(t *testing.T) {
 }
 
 func TestOpPendingHelper(t *testing.T) {
-	if (Op{Respond: 5}).Pending() {
+	if (&Op{Respond: 5}).Pending() {
 		t.Error("completed op reported pending")
 	}
-	if !(Op{Respond: simtime.Infinity}).Pending() {
+	if !(&Op{Respond: simtime.Infinity}).Pending() {
 		t.Error("pending op not reported")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"lintime/internal/harness"
 	"lintime/internal/obs"
 	"lintime/internal/quorum"
+	"lintime/internal/rtnet"
 	"lintime/internal/simtime"
 	"lintime/internal/spec"
 )
@@ -83,8 +84,8 @@ func TestServerQuorumCrashMinority(t *testing.T) {
 		t.Fatal("Crashed(1) = false after Crash")
 	}
 	s.Crash(1) // idempotent
-	// Every post-crash call routes around the dead replica: with one
-	// round-robin slot dead, eight calls land on both survivors.
+	// Every post-crash call routes around the dead replica: its worker
+	// has left the pool, so only the survivors take calls.
 	for i := 0; i < 4; i++ {
 		if r, err := s.Call(quorum.OpRead, nil); err != nil || !spec.ValuesEqual(r.Ret, 5) {
 			t.Fatalf("post-crash read %d = (%v, %v), want 5", i, r.Ret, err)
@@ -180,5 +181,38 @@ func TestServerCrashCountedOnceOnMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["crashes_injected"]; got != base+1 {
 		t.Fatalf("crashes_injected = %d after one Crash, want %d", got, base+1)
+	}
+}
+
+// TestServerQueuedCallsFailWhenAllCrashed pins the pool's endpoint: calls
+// queued behind busy replicas when the last replica crashes are answered
+// with ErrAllCrashed (or rtnet.ErrCrashed for the ones already running)
+// rather than left waiting for a worker that will never come.
+func TestServerQueuedCallsFailWhenAllCrashed(t *testing.T) {
+	s := startQuorumServer(t, 2)
+	const calls = 12
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := s.Call(quorum.OpRead, nil)
+			errs <- err
+		}()
+	}
+	time.Sleep(5 * time.Millisecond) // two calls running, the rest queued
+	s.Crash(0)
+	s.Crash(1)
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errs:
+			if err != nil && !errors.Is(err, ErrAllCrashed) && !errors.Is(err, rtnet.ErrCrashed) {
+				t.Errorf("call failed with %v, want ErrAllCrashed or rtnet.ErrCrashed", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d calls still waiting after every replica crashed", calls-i, calls)
+		}
+	}
+	if err := s.Drain(30 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

@@ -6,12 +6,15 @@
 // histograms, and exposes both an in-process call path (tests, the load
 // generator) and a length-prefixed JSON protocol over TCP (see proto.go).
 //
-// Routing: requests are spread round-robin over the replicas, and a
-// per-replica worker serializes them so each process has at most one
-// operation pending — exactly the client behavior the paper's model
-// assumes. Backpressure is the per-replica queue: when every replica has
-// QueueDepth requests waiting, Call blocks, which is the closed-loop
-// behavior the load generator expects.
+// Routing: every request goes onto one server-wide channel, and each
+// live replica's worker takes the next request as soon as its replica is
+// free, so a call waits only while every replica is busy. A worker serves
+// one request at a time, so each process has at most one operation
+// pending — exactly the client behavior the paper's model assumes.
+// Backpressure is the channel: when QueueDepth·n requests are waiting,
+// Call blocks, which is the closed-loop behavior the load generator
+// expects. A crashed replica's worker leaves the pool; once every replica
+// has crashed, Call and every queued call fail with ErrAllCrashed.
 //
 // Shutdown is a graceful drain: listeners close first (no new
 // connections), then new calls are refused, then every in-flight
@@ -58,8 +61,8 @@ type Config struct {
 	Tick     time.Duration // wall-clock duration of one virtual tick (default 1ms)
 	Offsets  string        // harness offset assignment name (default zero)
 	Seed     int64         // master seed; sub-streams are derived per use
-	// QueueDepth bounds each replica's request queue (default 64); a full
-	// queue blocks Call, giving closed-loop backpressure.
+	// QueueDepth·n bounds the server's request queue (default QueueDepth
+	// 64); a full queue blocks Call, giving closed-loop backpressure.
 	QueueDepth int
 	// DataType, when non-nil, overrides TypeName with an explicit data
 	// type instance. The shard-set uses it to serve a keyed family
@@ -88,14 +91,16 @@ type call struct {
 type Server struct {
 	cfg     Config
 	dt      spec.DataType
+	ops     map[string]struct{} // the served type's operation names
 	classes map[string]classify.Class
 	offsets []simtime.Duration
 	cluster *rtnet.Cluster
 	formula func(classify.Class) simtime.Duration
 
-	queues  []chan call
-	dead    []atomic.Bool // replicas removed from routing by Crash
-	next    atomic.Int64
+	reqs    chan call       // QueueDepth per replica; taken by every live replica's worker
+	down    []chan struct{} // closed by Crash: the replica's worker leaves
+	dead    []atomic.Bool   // replicas crashed by Crash
+	crashed atomic.Int32    // how many of them
 	workers sync.WaitGroup
 
 	mu       sync.Mutex
@@ -180,21 +185,27 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cluster.SetClasses(classes)
+	opNames := spec.OpNames(basis)
 	s := &Server{
 		cfg:     cfg,
 		dt:      dt,
+		ops:     make(map[string]struct{}, len(opNames)),
 		classes: classes,
 		offsets: offsets,
 		cluster: cluster,
 		formula: formula,
-		queues:  make([]chan call, cfg.Params.N),
+		reqs:    make(chan call, cfg.QueueDepth*cfg.Params.N),
+		down:    make([]chan struct{}, cfg.Params.N),
 		dead:    make([]atomic.Bool, cfg.Params.N),
 		rec:     newRecorder(),
 	}
-	for i := range s.queues {
-		s.queues[i] = make(chan call, cfg.QueueDepth)
+	for _, name := range opNames {
+		s.ops[name] = struct{}{}
 	}
-	s.fe.init(s.handleRequest, s.isDraining, spec.OpNames(basis))
+	for i := range s.down {
+		s.down[i] = make(chan struct{})
+	}
+	s.fe.init(s.handleRequest, s.isDraining, opNames)
 	s.wireMetrics()
 	return s, nil
 }
@@ -224,30 +235,70 @@ func (s *Server) Start() {
 	s.started = true
 	s.mu.Unlock()
 	s.cluster.Start()
-	for i := range s.queues {
-		proc := sim.ProcID(i)
-		q := s.queues[i]
+	for i := range s.down {
 		s.workers.Add(1)
-		go func() {
-			defer s.workers.Done()
-			for c := range q {
-				resp, err := s.cluster.Call(proc, c.op, c.arg, c.parent)
-				if err == nil {
-					s.rec.record(resp)
-					s.obsm.observe(resp.Class, int64(resp.Latency()))
-					if s.traceColl != nil {
-						if a, ok := s.traceColl.Attribute(resp.Seq, resp.Class.String(),
-							int64(resp.Invoke), s.attrP); ok {
-							s.obsm.observeTerms(resp.Class, a)
-						}
-					}
-				} else {
-					s.obsm.errors.Inc()
-				}
-				c.out <- result{resp: resp, err: err}
-			}
-		}()
+		go s.worker(i)
 	}
+}
+
+// worker serves requests at replica i, one at a time, until the request
+// channel closes or the replica crashes. A crashed replica's worker
+// leaves the pool, handing back a request it took as the crash landed.
+// Once every replica has crashed, leaving workers stay to answer queued
+// and later requests with ErrAllCrashed.
+func (s *Server) worker(i int) {
+	defer s.workers.Done()
+	var stray *call
+wait:
+	for {
+		select {
+		case <-s.down[i]:
+			break wait
+		case c, ok := <-s.reqs:
+			if !ok {
+				return
+			}
+			if s.dead[i].Load() {
+				stray = &c
+				break wait
+			}
+			s.serve(sim.ProcID(i), c)
+		}
+	}
+	if int(s.crashed.Load()) < len(s.dead) {
+		if stray != nil {
+			s.reqs <- *stray // still in flight, so Drain has not closed reqs
+		}
+		return
+	}
+	if stray != nil {
+		s.reject(*stray)
+	}
+	for c := range s.reqs {
+		s.reject(c)
+	}
+}
+
+func (s *Server) serve(proc sim.ProcID, c call) {
+	resp, err := s.cluster.Call(proc, c.op, c.arg, c.parent)
+	if err == nil {
+		s.rec.record(resp)
+		s.obsm.observe(resp.Class, int64(resp.Latency()))
+		if s.traceColl != nil {
+			if a, ok := s.traceColl.Attribute(resp.Seq, resp.Class.String(),
+				int64(resp.Invoke), s.attrP); ok {
+				s.obsm.observeTerms(resp.Class, a)
+			}
+		}
+	} else {
+		s.obsm.errors.Inc()
+	}
+	c.out <- result{resp: resp, err: err}
+}
+
+func (s *Server) reject(c call) {
+	s.obsm.errors.Inc()
+	c.out <- result{err: ErrAllCrashed}
 }
 
 // Call executes one operation against the served object and blocks until
@@ -258,11 +309,19 @@ func (s *Server) Call(op string, arg any) (rtnet.Response, error) {
 	return s.call(op, arg, -1)
 }
 
+// hasOp reports whether the served type declares op, against the name
+// set built once in New: spec.FindOp would rebuild the type's op table,
+// which for a keyed shard type boxes every sample key and argument.
+func (s *Server) hasOp(op string) bool {
+	_, ok := s.ops[op]
+	return ok
+}
+
 // call is Call carrying a causal parent span — the client-side span
 // propagated through the wire protocols' trace context — recorded as the
 // operation's parent edge when a tracer is installed.
 func (s *Server) call(op string, arg any, parent int64) (rtnet.Response, error) {
-	if _, ok := spec.FindOp(s.dt, op); !ok {
+	if !s.hasOp(op) {
 		return rtnet.Response{}, fmt.Errorf("serve: type %s has no operation %q", s.dt.Name(), op)
 	}
 	s.mu.Lock()
@@ -279,34 +338,24 @@ func (s *Server) call(op string, arg any, parent int64) (rtnet.Response, error) 
 	s.obsm.inflight.Add(1)
 	defer s.obsm.inflight.Add(-1)
 	defer s.inflight.Done()
-	// Round-robin over live replicas: the counter advances once per call
-	// and the scan walks forward from it, so crashed replicas drop out of
-	// rotation without perturbing the spread over the survivors.
-	at := int(s.next.Add(1) - 1)
-	proc := -1
-	for k := 0; k < len(s.queues); k++ {
-		if i := (at + k) % len(s.queues); !s.dead[i].Load() {
-			proc = i
-			break
-		}
-	}
-	if proc < 0 {
+	if int(s.crashed.Load()) == len(s.dead) {
 		s.obsm.errors.Inc()
 		return rtnet.Response{}, ErrAllCrashed
 	}
 	out := make(chan result, 1)
-	s.queues[proc] <- call{op: op, arg: arg, parent: parent, out: out}
+	s.reqs <- call{op: op, arg: arg, parent: parent, out: out}
 	r := <-out
 	return r.resp, r.err
 }
 
-// Crash fails replica i: it is removed from routing (later Calls skip
-// it) and its process is crashed on the substrate — timers canceled,
-// pending operations failed with rtnet.ErrCrashed, subsequent deliveries
-// dropped. With the quorum backend any minority of replicas can be
-// crashed and the survivors keep serving; under Algorithm 1 a crash
-// wedges mutators cluster-wide (every process must apply every update),
-// which is exactly the availability gap the head-to-head measures.
+// Crash fails replica i: its worker leaves the routing pool (later
+// Calls go to the survivors) and its process is crashed on the substrate
+// — timers canceled, pending operations failed with rtnet.ErrCrashed,
+// subsequent deliveries dropped. With the quorum backend any minority of
+// replicas can be crashed and the survivors keep serving; under
+// Algorithm 1 a crash wedges mutators cluster-wide (every process must
+// apply every update), which is exactly the availability gap the
+// head-to-head measures.
 func (s *Server) Crash(i int) {
 	if i < 0 || i >= len(s.dead) {
 		return
@@ -314,6 +363,8 @@ func (s *Server) Crash(i int) {
 	if s.dead[i].Swap(true) {
 		return
 	}
+	s.crashed.Add(1)
+	close(s.down[i])
 	s.cluster.Crash(sim.ProcID(i))
 }
 
@@ -363,9 +414,7 @@ func (s *Server) drain(timeout time.Duration) error {
 		timedOut = fmt.Errorf("serve: drain timed out after %v with operations in flight", timeout)
 	}
 	if timedOut == nil {
-		for _, q := range s.queues {
-			close(q)
-		}
+		close(s.reqs)
 		s.workers.Wait()
 	}
 	err := s.cluster.Drain(timeout)

@@ -287,3 +287,73 @@ func TestNewValidation(t *testing.T) {
 		t.Error("unknown offsets should error")
 	}
 }
+
+// TestServerOpCheckAllocationFree pins the per-call op-name check on a
+// shard's keyed type: it reads a set built once in New, so it allocates
+// nothing, and it still rejects unknown names with the same error.
+func TestServerOpCheckAllocationFree(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.DataType = adt.NewKeyed(adt.NewQueue())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() { s.Drain(30 * time.Second) })
+	for _, op := range []string{adt.OpEnqueue, adt.OpDequeue, adt.OpPeek} {
+		if !s.hasOp(op) {
+			t.Errorf("hasOp(%q) = false", op)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.hasOp(adt.OpDequeue) }); allocs != 0 {
+		t.Errorf("op check allocates %.1f times per call, want 0", allocs)
+	}
+	_, err = s.Call("pop", nil)
+	if want := `serve: type keyed-queue has no operation "pop"`; err == nil || err.Error() != want {
+		t.Errorf("unknown op error = %v, want %q", err, want)
+	}
+}
+
+// TestServerDispatchesToFreeReplica pins dispatch to the next free
+// replica: with n=2, one replica busy on a long mixed operation and the
+// other just freed by a short one, a third call must start on the free
+// replica at once. Blind round-robin queued it behind the long
+// operation, so its invocation came after the long one's response.
+func TestServerDispatchesToFreeReplica(t *testing.T) {
+	// d = 100 ticks widens the gap between the long op's d+ε = 110 ticks
+	// and the short ops' X+ε = 20, so wall-clock jitter cannot close it.
+	cfg := testConfig(2)
+	cfg.Params.D = 100
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() { s.Drain(30 * time.Second) })
+	long := make(chan rtnet.Response, 1)
+	go func() {
+		r, err := s.Call(adt.OpDequeue, nil) // OOP
+		if err != nil {
+			t.Error(err)
+		}
+		long <- r
+	}()
+	// Let the long operation reach its replica before the short one.
+	time.Sleep(10 * time.Millisecond)
+	short, err := s.Call(adt.OpEnqueue, 1) // MOP
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := s.Call(adt.OpEnqueue, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := <-long
+	if short.Proc == l.Proc {
+		t.Fatalf("short op ran on p%d behind the long op; want the other replica", short.Proc)
+	}
+	if third.Invoke >= l.Respond {
+		t.Errorf("third call invoked at %v on p%d, after the long op responded at %v on p%d: it waited for a busy replica",
+			third.Invoke, third.Proc, l.Respond, l.Proc)
+	}
+}

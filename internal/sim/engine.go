@@ -19,22 +19,23 @@ const (
 
 // event is one scheduled occurrence in the simulation. Events are value
 // types stored inline in the engine's queue: scheduling an event never
-// heap-allocates and popping one never chases a pointer.
+// heap-allocates and popping one never chases a pointer. Every heap sift
+// copies events, so fields that only one kind uses share a slot.
 type event struct {
 	time simtime.Time
 	seq  int64 // tie-break: FIFO among simultaneous events
-	kind eventKind
 	proc ProcID
+	kind eventKind
 
-	// evInvoke
-	inv Invocation
-	// evDeliver
-	from     ProcID
-	payload  any
-	msgIndex int // index into trace.Msgs (-1 when message records are off)
-	// evTimer
-	timerID TimerID
-	tag     any
+	// id is the invocation's SeqID (evInvoke), the timer's TimerID
+	// (evTimer), or the delivery's index into trace.Msgs (evDeliver; -1
+	// when message records are off).
+	id int64
+	// payload is the invocation's argument (evInvoke), the message
+	// (evDeliver) or the timer's tag (evTimer).
+	payload any
+	op      string // evInvoke: the operation
+	from    ProcID // evDeliver: the sender
 
 	// span is the tracing span (operation SeqID) the event is attributed
 	// to: the sender's pending operation for deliveries, the registering
@@ -104,27 +105,31 @@ func (q *eventQueue) reset() {
 	q.items = q.items[:0]
 }
 
-func (q *eventQueue) push(ev event) {
-	q.items = append(q.items, ev)
-	// Sift up.
+// push and pop sift a hole rather than swapping: each level moves one
+// event into the hole and the displaced event is written once at the end,
+// so a sift costs one event copy per level instead of a three-copy swap.
+// Both take the event by pointer for the same reason: a value parameter
+// or result would add a whole-event copy per call.
+func (q *eventQueue) push(ev *event) {
+	q.items = append(q.items, event{})
 	i := len(q.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !eventBefore(&q.items[i], &q.items[parent]) {
+		if !eventBefore(ev, &q.items[parent]) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		q.items[i] = q.items[parent]
 		i = parent
 	}
+	q.items[i] = *ev
 }
 
-func (q *eventQueue) pop() event {
-	top := q.items[0]
+// pop removes the minimum event into *dst.
+func (q *eventQueue) pop(dst *event) {
+	*dst = q.items[0]
 	n := len(q.items) - 1
-	q.items[0] = q.items[n]
-	q.items[n] = event{} // release payload references
-	q.items = q.items[:n]
-	// Sift down.
+	last := &q.items[n]
+	// Sift the hole at the root down to where the last event belongs.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -132,22 +137,26 @@ func (q *eventQueue) pop() event {
 			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
+		for c := first + 1; c < end; c++ {
 			if eventBefore(&q.items[c], &q.items[min]) {
 				min = c
 			}
 		}
-		if !eventBefore(&q.items[min], &q.items[i]) {
+		if !eventBefore(&q.items[min], last) {
 			break
 		}
-		q.items[i], q.items[min] = q.items[min], q.items[i]
+		q.items[i] = q.items[min]
 		i = min
 	}
-	return top
+	if i != n {
+		q.items[i] = *last
+	}
+	*last = event{} // release payload references
+	q.items = q.items[:n]
 }
 
 // TraceLevel selects how much of a run the engine records. Every level
@@ -219,6 +228,9 @@ type Engine struct {
 	level    TraceLevel
 	stepSig  uint64 // running FNV-1a over (kind, proc) of processed events
 
+	// High-water lengths of Steps, Msgs and Ops over all past runs.
+	stepsCap, msgsCap, opsCap int
+
 	// metrics, when non-nil, receives live engine counters; tracer, when
 	// enabled, receives span waypoints. Both default off: the hot loop
 	// pays one predictable nil/bool branch per event, keeping the
@@ -268,9 +280,10 @@ func NewEngine(params simtime.Params, offsets []simtime.Duration, net Network, n
 // Reset rearms the engine for a fresh run with the given configuration,
 // retaining the event queue's backing array, the bookkeeping maps, the
 // per-process contexts, and capacity hints for the trace slices (which
-// are preallocated to the previous run's sizes). The trace returned by
-// the previous run is NOT recycled — it remains valid after Reset, so
-// results that escaped to callers are never corrupted by engine reuse.
+// are preallocated to the largest sizes any past run reached). The trace
+// returned by the previous run is NOT recycled — it remains valid after
+// Reset, so results that escaped to callers are never corrupted by engine
+// reuse.
 // OnRespond and OnStep are cleared; MaxSteps and the trace level are
 // retained.
 func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Network, nodes []Node) error {
@@ -306,19 +319,21 @@ func (e *Engine) Reset(params simtime.Params, offsets []simtime.Duration, net Ne
 	clear(e.live)
 	e.crashes = e.crashes[:0]
 	clear(e.drops)
-	// Preallocate the fresh trace to the previous run's high-water sizes:
-	// steady-state reuse pays one exact-size allocation per slice instead
-	// of a geometric regrowth chain.
-	var stepsHint, msgsHint, opsHint int
+	// Preallocate the fresh trace to the high-water sizes of all past
+	// runs, not just the previous one: a run shorter than its successor
+	// would otherwise send the next run's slices through a geometric
+	// regrowth chain.
 	if e.trace != nil {
-		stepsHint, msgsHint, opsHint = len(e.trace.Steps), len(e.trace.Msgs), len(e.trace.Ops)
+		e.stepsCap = max(e.stepsCap, len(e.trace.Steps))
+		e.msgsCap = max(e.msgsCap, len(e.trace.Msgs))
+		e.opsCap = max(e.opsCap, len(e.trace.Ops))
 	}
 	e.trace = &Trace{
 		Params:  params,
 		Offsets: append([]simtime.Duration(nil), offsets...),
-		Steps:   make([]StepRecord, 0, stepsHint),
-		Msgs:    make([]MsgRecord, 0, msgsHint),
-		Ops:     make([]OpRecord, 0, opsHint),
+		Steps:   make([]StepRecord, 0, e.stepsCap),
+		Msgs:    make([]MsgRecord, 0, e.msgsCap),
+		Ops:     make([]OpRecord, 0, e.opsCap),
 	}
 	e.started = false
 	e.stepSig = fnvOffset
@@ -402,7 +417,7 @@ func (e *Engine) Timers() int {
 	n := 0
 	for i := range e.queue.items {
 		ev := &e.queue.items[i]
-		if ev.kind == evTimer && !e.canceled[ev.timerID] && !e.crashedAt(ev.proc, ev.time) {
+		if ev.kind == evTimer && !e.canceled[TimerID(ev.id)] && !e.crashedAt(ev.proc, ev.time) {
 			n++
 		}
 	}
@@ -410,7 +425,7 @@ func (e *Engine) Timers() int {
 }
 
 // push schedules an event.
-func (e *Engine) push(ev event) {
+func (e *Engine) push(ev *event) {
 	ev.seq = e.seq
 	e.seq++
 	e.queue.push(ev)
@@ -434,7 +449,7 @@ func (e *Engine) InvokeWithParent(p ProcID, at simtime.Time, op string, arg any,
 	}
 	seqID := e.opSeq
 	e.opSeq++
-	e.push(event{time: at, kind: evInvoke, proc: p, inv: Invocation{SeqID: seqID, Op: op, Arg: arg}, span: parent})
+	e.push(&event{time: at, kind: evInvoke, proc: p, id: seqID, op: op, payload: arg, span: parent})
 	return seqID
 }
 
@@ -449,7 +464,7 @@ func (e *Engine) setTimer(p ProcID, at simtime.Time, tag any) TimerID {
 	if e.tracing {
 		span = e.spanFor(p)
 	}
-	e.push(event{time: at, kind: evTimer, proc: p, timerID: id, tag: tag, span: span})
+	e.push(&event{time: at, kind: evTimer, proc: p, id: int64(id), payload: tag, span: span})
 	return id
 }
 
@@ -519,8 +534,8 @@ func (e *Engine) send(from, to ProcID, payload any) {
 		span = e.spanFor(from)
 		e.tracer.Event(span, obs.StageBroadcast, int32(from), int64(e.now))
 	}
-	e.push(event{time: recv, kind: evDeliver, proc: to, from: from, payload: payload,
-		msgIndex: msgIndex, span: span, sent: e.now})
+	e.push(&event{time: recv, kind: evDeliver, proc: to, from: from, payload: payload,
+		id: int64(msgIndex), span: span, sent: e.now})
 }
 
 // respond records the response for a pending invocation.
@@ -563,10 +578,11 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 		}
 	}
 	steps := 0
+	var ev event
 	for e.queue.len() > 0 && e.queue.peek().time <= limit {
-		ev := e.queue.pop()
-		if ev.kind == evTimer && e.canceled[ev.timerID] {
-			delete(e.canceled, ev.timerID)
+		e.queue.pop(&ev)
+		if ev.kind == evTimer && e.canceled[TimerID(ev.id)] {
+			delete(e.canceled, TimerID(ev.id))
 			continue
 		}
 		if e.crashedAt(ev.proc, ev.time) {
@@ -577,8 +593,8 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 			// OpRecord, because an operation the process never started
 			// must not be linearizable as pending.
 			if ev.kind == evDeliver {
-				if ev.msgIndex >= 0 {
-					e.trace.Msgs[ev.msgIndex].Dropped = true
+				if ev.id >= 0 {
+					e.trace.Msgs[ev.id].Dropped = true
 				}
 				if e.tracing {
 					e.tracer.Event(ev.span, obs.StageDropped, int32(ev.proc), int64(ev.time))
@@ -608,16 +624,17 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 		ctx := &e.ctxs[ev.proc]
 		switch ev.kind {
 		case evInvoke:
+			inv := Invocation{SeqID: ev.id, Op: ev.op, Arg: ev.payload}
 			if prev, busy := e.pending[ev.proc]; busy {
 				panic(fmt.Sprintf("sim: p%d invoked op %d while op %d pending (user constraint violated)",
-					ev.proc, ev.inv.SeqID, prev))
+					ev.proc, inv.SeqID, prev))
 			}
-			e.pending[ev.proc] = ev.inv.SeqID
+			e.pending[ev.proc] = inv.SeqID
 			rec := OpRecord{
 				Proc:        ev.proc,
-				SeqID:       ev.inv.SeqID,
-				Op:          ev.inv.Op,
-				Arg:         ev.inv.Arg,
+				SeqID:       inv.SeqID,
+				Op:          inv.Op,
+				Arg:         inv.Arg,
 				InvokeTime:  e.now,
 				RespondTime: simtime.Infinity,
 			}
@@ -627,17 +644,17 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 				}
 				e.live[ev.proc] = rec
 			} else {
-				e.opIndex[ev.inv.SeqID] = len(e.trace.Ops)
+				e.opIndex[inv.SeqID] = len(e.trace.Ops)
 				e.trace.Ops = append(e.trace.Ops, rec)
 			}
 			if e.level == TraceFull {
 				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepInvoke})
 			}
 			if e.tracing {
-				e.handling = ev.inv.SeqID
-				e.tracer.OpStart(int32(ev.proc), ev.inv.SeqID, ev.span, ev.inv.Op, int64(e.now))
+				e.handling = inv.SeqID
+				e.tracer.OpStart(int32(ev.proc), inv.SeqID, ev.span, inv.Op, int64(e.now))
 			}
-			e.nodes[ev.proc].OnInvoke(ctx, ev.inv)
+			e.nodes[ev.proc].OnInvoke(ctx, inv)
 		case evDeliver:
 			if e.level == TraceFull {
 				e.trace.Steps = append(e.trace.Steps, StepRecord{Proc: ev.proc, Time: e.now, Kind: StepDeliver})
@@ -655,8 +672,8 @@ func (e *Engine) RunUntil(limit simtime.Time) *Trace {
 				e.handling = ev.span
 				e.tracer.Event(ev.span, obs.StageTimer, int32(ev.proc), int64(e.now))
 			}
-			e.firing = ev.timerID
-			e.nodes[ev.proc].OnTimer(ctx, ev.tag)
+			e.firing = TimerID(ev.id)
+			e.nodes[ev.proc].OnTimer(ctx, ev.payload)
 			e.firing = -1
 		}
 		e.handling = -1

@@ -75,7 +75,7 @@ func TestQueueMatchesLegacyHeapOrder(t *testing.T) {
 			for i := 0; i < burst && next < len(evs); i++ {
 				ev := evs[next]
 				next++
-				q.push(ev)
+				q.push(&ev)
 				cp := ev
 				heap.Push(legacy, &cp)
 			}
@@ -84,7 +84,8 @@ func TestQueueMatchesLegacyHeapOrder(t *testing.T) {
 				drain = q.len() // flush at the end
 			}
 			for i := 0; i < drain; i++ {
-				got := q.pop()
+				var got event
+				q.pop(&got)
 				want := heap.Pop(legacy).(*event)
 				if got.time != want.time || got.kind != want.kind || got.seq != want.seq {
 					t.Fatalf("trial %d step %d: pop mismatch: got (t=%v kind=%d seq=%d), legacy (t=%v kind=%d seq=%d)",
@@ -104,10 +105,11 @@ func TestQueueMatchesLegacyHeapOrder(t *testing.T) {
 // retained across Engine.Reset, so a stale any would pin garbage).
 func TestQueuePopReleasesPayload(t *testing.T) {
 	var q eventQueue
-	q.push(event{time: 1, payload: "pinned"})
-	q.push(event{time: 2, payload: "pinned"})
-	q.pop()
-	q.pop()
+	q.push(&event{time: 1, payload: "pinned"})
+	q.push(&event{time: 2, payload: "pinned"})
+	var got event
+	q.pop(&got)
+	q.pop(&got)
 	for i, slot := range q.items[:cap(q.items)] {
 		if slot.payload != nil {
 			t.Fatalf("slot %d retains payload %v after pop", i, slot.payload)
@@ -120,7 +122,7 @@ func TestQueuePopReleasesPayload(t *testing.T) {
 func TestQueueResetRetainsCapacity(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 100; i++ {
-		q.push(event{time: simtime.Time(i)})
+		q.push(&event{time: simtime.Time(i)})
 	}
 	c := cap(q.items)
 	q.reset()

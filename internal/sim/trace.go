@@ -53,7 +53,7 @@ type OpRecord struct {
 }
 
 // Pending reports whether the operation has not yet responded.
-func (o OpRecord) Pending() bool { return o.RespondTime == simtime.Infinity }
+func (o *OpRecord) Pending() bool { return o.RespondTime == simtime.Infinity }
 
 // Latency returns the elapsed time between invocation and response.
 func (o OpRecord) Latency() simtime.Duration {
@@ -266,7 +266,8 @@ func (t *Trace) CheckComplete() error {
 // linearizability checker already treats pending operations as
 // may-or-may-not have taken effect.
 func (t *Trace) CheckCompleteExceptCrashed() error {
-	for _, op := range t.Ops {
+	for i := range t.Ops {
+		op := &t.Ops[i]
 		if op.Pending() && t.CrashTimeOf(op.Proc) == simtime.Infinity {
 			return fmt.Errorf("sim: operation %s (seq %d) at p%d invoked at %v never responded (process never crashed)",
 				op.Op, op.SeqID, op.Proc, op.InvokeTime)
